@@ -136,6 +136,12 @@ func run(args []string, out *os.File) error {
 		Observer:   collector,
 		Engine:     engine.Config{Processors: *p, Exec: exec, Workers: *workers},
 	})
+	// server.Config reads a zero TraceSample as "sample everything" and a
+	// negative one as "mint nothing"; the flag's 0 means the latter.
+	sample := *traceSample
+	if sample == 0 {
+		sample = -1
+	}
 	srv, err := server.New(server.Config{
 		Pool:        pool,
 		BatchSize:   *batch,
@@ -145,7 +151,7 @@ func run(args []string, out *os.File) error {
 		Burst:       *burst,
 		Registry:    reg,
 		Trace:       rec,
-		TraceSample: *traceSample,
+		TraceSample: sample,
 	})
 	if err != nil {
 		return err

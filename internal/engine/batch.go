@@ -2,31 +2,29 @@ package engine
 
 // This file is batch-aware submission: the serving daemon's coalescing
 // batcher (internal/server) fuses many small concurrent same-op,
-// same-size-class requests into ONE pool submission, and the fused
-// batch runs as ONE machine acquisition — one trip through the shard
-// queue, one dispatcher wakeup, one engine-semaphore handshake, shared
-// across every item. Each item is then served back-to-back through the
-// exact serveOne path a solo request takes, on a machine whose arena
-// already holds the right size-class buffers, so a coalesced batch's
-// results are bit-identical to per-request Do (pinned by
+// same-size-class requests into ONE pool submission. The fused batch is
+// one future carrying a run of whole-request steps, one per item, and
+// the engine serves the run under ONE machine acquisition (step.go) —
+// one trip through the shard queue, one dispatcher wakeup, one
+// semaphore handshake for every item. Each item is served by the same
+// serve function a solo request takes, on a machine whose arena already
+// holds the right size-class buffers, so a coalesced batch's results
+// are bit-identical to per-request Do (pinned by
 // TestBatchBitIdenticalAllOps) while the per-request dispatch overhead
 // is paid once per batch instead of once per item.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
-
-	"parlist/internal/pram"
 )
 
 // BatchItem is one request of a fused batch. The caller owns the item:
 // Req and Ctx are read by the engine, Res/Err/Start/End are written by
-// it. After RunBatch (or the resolution of SubmitBatch's Future)
-// returns, Err holds the item's outcome and Res its output; Start and
-// End bound the item's service interval on the machine — the
-// service-stage timestamps the daemon surfaces to clients.
+// it. Once SubmitBatch's Future resolves, Err holds the item's outcome
+// and Res its output; Start and End bound the item's service interval
+// on the machine — the service-stage timestamps the daemon surfaces to
+// clients.
 type BatchItem struct {
 	// Ctx is the item's own cancellation context (nil = the batch
 	// context). An item whose context is done by the time the machine
@@ -43,54 +41,9 @@ type BatchItem struct {
 	// Err is the item's outcome: nil on success, or the same typed error
 	// the request would have produced through Do.
 	Err error
-	// Start and End bound the item's service interval on the machine.
+	// Start and End bound the item's service interval on the machine
+	// (both zero when the item never reached it).
 	Start, End time.Time
-}
-
-// RunBatch serves the items back-to-back under ONE semaphore
-// acquisition: the machine is claimed once, each item runs through the
-// same serve path as a solo RunInto (validation, deadline arming, fault
-// re-seeding, observer hook, stats), and the semaphore is released when
-// the last item finishes. Per-item failures land in the item's Err and
-// never abort the batch — a transient fault degrades the machine and
-// the NEXT item's serve rebuilds it, so one poisoned item cannot take
-// its batchmates down. The returned error is reserved for whole-batch
-// failures: a ctx that expires before the machine is acquired.
-//
-// Engine Stats count each item as one request, exactly as if it had
-// arrived alone.
-func (e *Engine) RunBatch(ctx context.Context, items []*BatchItem) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	for _, it := range items {
-		ictx := it.Ctx
-		if ictx == nil {
-			ictx = ctx
-		}
-		if err := ctx.Err(); err != nil {
-			it.Err = err
-			continue
-		}
-		if err := ictx.Err(); err != nil {
-			it.Err = err
-			continue
-		}
-		at := effectiveDeadline(ictx, &it.Req)
-		it.Start = time.Now()
-		it.Err = e.serveOne(it.Req, &it.Res, at)
-		it.End = time.Now()
-	}
-	return nil
 }
 
 // SizeClass reports the pool's affinity bucket for an input of n nodes
@@ -99,16 +52,6 @@ func (e *Engine) RunBatch(ctx context.Context, items []*BatchItem) error {
 // fused batch lands on an engine whose arena is already warm for that
 // class.
 func SizeClass(n int) int { return sizeClass(n) }
-
-// batchSpec marks a Future that carries a fused batch instead of a
-// single request: the dispatcher runs RunBatch over the items and
-// resolves the Future with a nil Result once every item's Err/Res is
-// populated. Batch futures never touch the result cache and are never
-// retried as a unit — per-item failures keep their types and the next
-// request heals a degraded machine.
-type batchSpec struct {
-	items []*BatchItem
-}
 
 // SubmitBatch admits a fused batch as one queue entry and returns its
 // Future. Admission follows Submit's discipline exactly: it never
@@ -120,77 +63,24 @@ type batchSpec struct {
 //
 // When the Future resolves, every item's Err and Res are populated;
 // Wait's error is reserved for whole-batch failures (a ctx that died
-// before the machine was acquired). Per-item deadlines (Req.Deadline)
-// are armed at admission, so queue time and time spent waiting behind
-// earlier batchmates spend the same budget as service.
+// before the machine was acquired). Per-item failures keep their types
+// and never abort the batch: a transient fault degrades the machine and
+// the next item rebuilds it. A batch never touches the result cache and
+// is never retried as a unit. Per-item deadlines (Req.Deadline) are
+// armed at admission, so queue time and time spent waiting behind
+// earlier batchmates spend the same budget as service. Each item counts
+// as one request in the pool and engine Stats; the batch counts once in
+// PoolStats.Batches.
 func (p *EnginePool) SubmitBatch(ctx context.Context, items []*BatchItem) (*Future, error) {
 	if len(items) == 0 {
 		return nil, errors.New("engine pool: empty batch")
 	}
-	if err := ctx.Err(); err != nil {
+	f := &Future{done: make(chan struct{}), steps: make([]step, len(items))}
+	for i, it := range items {
+		f.steps[i] = step{Step: wholeStep, req: it.Req, res: &it.Res, item: it}
+	}
+	if err := p.submit(ctx, f); err != nil {
 		return nil, err
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
-	}
-	now := time.Now()
-	for _, it := range items {
-		if it.Req.Deadline > 0 {
-			it.Req.deadlineAt = now.Add(it.Req.Deadline)
-		}
-	}
-	s := p.pick(items[0].Req)
-	f := &Future{ctx: ctx, enq: now, done: make(chan struct{}), batch: &batchSpec{items: items}}
-	s.pending.Add(1)
-	select {
-	case s.queue <- f:
-		if o := p.cfg.Observer; o != nil {
-			o.EnqueueObserved(len(s.queue))
-		}
-		return f, nil
-	default:
-		s.pending.Add(-1)
-		p.rejected.Add(1)
-		if o := p.cfg.Observer; o != nil {
-			o.ShedObserved()
-		}
-		return nil, fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
-	}
-}
-
-// serveBatch runs an admitted batch on s's engine and resolves its
-// Future. Item failures are tallied into the shard counters by class
-// (deadline vs transient vs validation); a transient failure anywhere
-// in the batch feeds the breaker once, like a failed solo request.
-func (p *EnginePool) serveBatch(s *shard, f *Future, start time.Time) {
-	err := s.eng.RunBatch(f.ctx, f.batch.items)
-	s.served.Add(int64(len(f.batch.items)))
-	s.batches.Add(1)
-	transient := false
-	for _, it := range f.batch.items {
-		if it.Err == nil {
-			continue
-		}
-		s.failures.Add(1)
-		switch {
-		case errors.Is(it.Err, ErrDeadlineExceeded):
-			s.deadlined.Add(1)
-			if p.robsv != nil {
-				p.robsv.DeadlineExceededObserved()
-			}
-		case pram.Transient(it.Err):
-			transient = true
-		}
-	}
-	if transient {
-		p.noteFault(s)
-	} else {
-		p.noteOK(s)
-	}
-	f.m.Service = time.Since(start)
-	s.serviceNs.Add(int64(f.m.Service))
-	s.pending.Add(-1)
-	f.resolve(nil, err)
+	return f, nil
 }

@@ -388,136 +388,8 @@ func (e *Engine) RunInto(ctx context.Context, req Request, res *Result) error {
 	if res == nil {
 		return errors.New("engine: RunInto with nil result")
 	}
-	// A done context always wins, even when the machine is free (select
-	// picks randomly among ready cases).
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	at := effectiveDeadline(ctx, &req)
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-e.sem }()
-	return e.serveOne(req, res, at)
-}
-
-// effectiveDeadline derives the request's absolute deadline: the
-// earliest of the context deadline, the pool-derived admission deadline,
-// and the request-relative budget measured from now — computed before
-// the semaphore wait so time spent queued behind the machine spends the
-// same budget as service. Requests without any deadline skip the clock
-// reads entirely.
-func effectiveDeadline(ctx context.Context, req *Request) time.Time {
-	var at time.Time
-	if d, ok := ctx.Deadline(); ok {
-		at = d
-	}
-	if !req.deadlineAt.IsZero() && (at.IsZero() || req.deadlineAt.Before(at)) {
-		at = req.deadlineAt
-	}
-	if req.Deadline > 0 {
-		if t := time.Now().Add(req.Deadline); at.IsZero() || t.Before(at) {
-			at = t
-		}
-	}
-	return at
-}
-
-// serveOne serves one request under an already-held semaphore, wrapping
-// serve with the observer hook and the cumulative-stats update. Both
-// RunInto and RunBatch funnel through here, so a batched item takes
-// exactly the code path a solo request takes — the foundation of the
-// batch bit-identity contract.
-func (e *Engine) serveOne(req Request, res *Result, at time.Time) error {
-	var t0 time.Time
-	var arena0 uint64
-	if e.cfg.Observer != nil {
-		t0 = time.Now()
-		arena0 = e.wsp.Stats().BytesAllocated
-	}
-
-	err := e.serve(req, res, at)
-
-	if o := e.cfg.Observer; o != nil {
-		o.RequestObserved(req.Op.String(), time.Since(t0), err != nil,
-			e.wsp.Stats().BytesAllocated-arena0)
-		if e.m != nil {
-			// Close the request's trailing phase span so idle time
-			// between requests is not charged to it.
-			e.m.FlushSpans()
-		}
-	}
-
-	st := <-e.statsCh
-	st.Requests++
-	if err != nil {
-		st.Failures++
-	} else {
-		st.SimTime += res.Stats.Time
-		st.SimWork += res.Stats.Work
-	}
-	st.Arena = e.wsp.Stats()
-	e.statsCh <- st
-	return err
-}
-
-// serve runs one request under the semaphore. at is the absolute
-// deadline (zero = none).
-func (e *Engine) serve(req Request, res *Result, at time.Time) error {
-	if e.closed {
-		return fmt.Errorf("engine: %w", ErrClosed)
-	}
-	if req.List == nil {
-		return fmt.Errorf("engine: %w", ErrNilList)
-	}
-	p := req.Processors
-	if p == 0 {
-		p = e.cfg.Processors
-	}
-	if p < 1 {
-		return fmt.Errorf("engine: %d %w", p, ErrBadProcessors)
-	}
-	if e.cfg.Exec == pram.Native && req.Faults != nil {
-		return fmt.Errorf("engine: fault plans: %w", ErrNativeUnsupported)
-	}
-	// A budget that died while the request waited (in the pool queue or
-	// behind this machine's semaphore) fails before any machine work.
-	if !at.IsZero() {
-		if now := time.Now(); now.After(at) {
-			return fmt.Errorf("engine: deadline passed %v before dispatch: %w", now.Sub(at), ErrDeadlineExceeded)
-		}
-	}
-	if e.m == nil || e.m.Processors() != p || e.m.Degraded() || e.killed {
-		e.killed = false
-		e.rebuild(p)
-	}
-
-	// Request prologue: recycle the scratch epoch, rewind the
-	// accounting, and (re)install this request's fault plan — the pool's
-	// round counter rewinds with it, so fault coordinates never depend
-	// on how many requests this machine served before. The deadline is
-	// (re)armed every request, so a stale deadline can never leak from
-	// an aborted predecessor.
-	e.wsp.Reset()
-	e.m.Reset()
-	e.m.SetFaults(req.Faults)
-	e.m.SetDeadline(at)
-
-	n := req.List.Len()
-	if err := req.List.ValidateInto(e.wsp.Ints(n)); err != nil {
-		return err
-	}
-
-	res.Op = req.Op
-	res.Algorithm = ""
-	res.In = res.In[:0]
-	res.Labels = res.Labels[:0]
-	res.Ranks = res.Ranks[:0]
-	res.Size, res.Sets, res.Rounds, res.TableSize = 0, 0, 0, 0
-
-	return e.dispatch(req, res)
+	s := [1]step{{Step: wholeStep, req: req, res: res}}
+	return e.run(ctx, s[:])
 }
 
 // rebuild replaces the machine (first build included), keeping the
@@ -567,17 +439,9 @@ func (e *Engine) eval(v partition.Variant, n int) *partition.Evaluator {
 	return ev
 }
 
-// dispatch executes the request body on the prepared machine,
-// translating recovered executor failures (an injected worker panic, a
-// stalled barrier abandoned by the watchdog) into errors. The machine is
-// left degraded by such failures; the next request rebuilds it.
-func (e *Engine) dispatch(req Request, res *Result) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = recoveredError(r)
-		}
-	}()
-
+// execute runs a whole request's op on the prepared machine, copying
+// its output into res.
+func (e *Engine) execute(req *Request, res *Result) error {
 	m, l := e.m, req.List
 	n := l.Len()
 	switch req.Op {
@@ -625,10 +489,7 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 			// Ranks are unique, so the native splitter-walk kernel is
 			// output-identical to either simulated scheme.
 			if e.cfg.Exec == pram.Native {
-				if e.nativeWalk == nil {
-					e.nativeWalk = rank.NewNativeWalker(m)
-				}
-				rk = e.nativeWalk.Rank(l)
+				rk = e.walker().Rank(l)
 				break
 			}
 			if scheme == RankContraction {
@@ -654,10 +515,7 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 		var out []int
 		var err error
 		if e.cfg.Exec == pram.Native {
-			if e.nativeWalk == nil {
-				e.nativeWalk = rank.NewNativeWalker(m)
-			}
-			out = e.nativeWalk.Prefix(l, req.Values)
+			out = e.walker().Prefix(l, req.Values)
 		} else {
 			out, _, err = rank.Prefix(m, l, req.Values, nil)
 		}
@@ -674,15 +532,23 @@ func (e *Engine) dispatch(req Request, res *Result) (err error) {
 	default:
 		return fmt.Errorf("engine: %v: %w", req.Op, ErrUnknownOp)
 	}
-	m.SnapshotInto(&res.Stats)
 	return nil
+}
+
+// walker returns the native rank/prefix kernel bound to the current
+// machine.
+func (e *Engine) walker() *rank.NativeWalker {
+	if e.nativeWalk == nil {
+		e.nativeWalk = rank.NewNativeWalker(e.m)
+	}
+	return e.nativeWalk
 }
 
 // runMatching serves OpMatching. The default configuration (Match4,
 // iterated partition, MSB variant) takes the reusable Runner fast path;
 // every other selection falls back to the one-shot implementations on
 // the same machine.
-func (e *Engine) runMatching(req Request, res *Result) error {
+func (e *Engine) runMatching(req *Request, res *Result) error {
 	m, l := e.m, req.List
 	n := l.Len()
 	algo := req.Algorithm
@@ -711,9 +577,7 @@ func (e *Engine) runMatching(req Request, res *Result) error {
 				if err := e.native.Run(l, &e.mres); err != nil {
 					return err
 				}
-				r = &e.mres
-				e.copyMatching(r, res)
-				e.m.SnapshotInto(&res.Stats)
+				e.copyMatching(&e.mres, res)
 				return nil
 			}
 			if e.runner == nil || e.runnerIters != i {
@@ -750,7 +614,6 @@ func (e *Engine) runMatching(req Request, res *Result) error {
 		return err
 	}
 	e.copyMatching(r, res)
-	e.m.SnapshotInto(&res.Stats)
 	return nil
 }
 

@@ -3,7 +3,8 @@ package engine
 import "time"
 
 // EngineObserver receives wall-clock observations from an Engine: one
-// call per served request, after the machine has finished. The
+// call per served request or sharded plan step, after the machine has
+// finished. The
 // interface uses only basic types so implementations
 // (internal/obs.Collector) need not import engine; the same value can
 // also implement pram.Observer, in which case the engine attaches it to
@@ -14,10 +15,12 @@ import "time"
 // and with one attached, the served results and their simulated Stats
 // are bit-identical.
 type EngineObserver interface {
-	// RequestObserved reports one request: the op name (Op.String), the
-	// engine-side wall time (validation through result copy-out, queue
-	// wait excluded), whether it failed, and how many fresh bytes the
-	// workspace arena had to allocate for it (0 in steady state).
+	// RequestObserved reports one request or plan step: its label (the
+	// request's Op.String, or the step kind: "step-contract",
+	// "step-solve", "step-expand"), the engine-side wall time
+	// (validation through result copy-out, queue wait excluded), whether
+	// it failed, and how many fresh bytes the workspace arena had to
+	// allocate for it (0 in steady state).
 	RequestObserved(op string, wall time.Duration, failed bool, arenaBytes uint64)
 }
 

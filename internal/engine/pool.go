@@ -20,6 +20,7 @@ import (
 
 	"parlist/internal/list"
 	"parlist/internal/partition"
+	"parlist/internal/plan"
 	"parlist/internal/pram"
 )
 
@@ -95,9 +96,13 @@ type RequestMetrics struct {
 
 // Future is the handle Submit returns: a single-assignment cell that
 // resolves to the request's Result or error when service completes.
+//
+// A future carries its engine work as plan steps (step.go), served
+// under one acquisition of one engine: one whole-request step for
+// Submit and Do, one step per item for SubmitBatch, one plan step for
+// each engine-run step of a ShardedDo plan.
 type Future struct {
 	ctx  context.Context
-	req  Request
 	enq  time.Time
 	done chan struct{}
 
@@ -106,29 +111,31 @@ type Future struct {
 	// whole life, backoffs included.
 	born time.Time
 
-	// deadline is the absolute budget derived from Request.Deadline at
-	// admission (zero = none); attempts counts retries consumed. Both
-	// are touched only by the goroutine currently responsible for the
-	// future (submitter → dispatcher → retry goroutine → dispatcher), a
-	// chain of happens-before edges through the queue sends.
+	// deadline is the absolute budget of the future's own outcome (zero
+	// = none; batch items carry theirs on their steps); attempts counts
+	// retries consumed. Both are touched only by the goroutine currently
+	// responsible for the future (submitter → dispatcher → retry
+	// goroutine → dispatcher), a chain of happens-before edges through
+	// the queue sends.
 	deadline time.Time
 	attempts int
 
-	// step marks a sharded plan-step future (shard.go): the dispatcher
-	// runs the step against the request's shared shard state instead of
-	// serving req, and resolves with a nil Result. Step futures never
-	// touch the result cache (there is no req.List to key on).
-	step *stepSpec
-
-	// batch marks a fused-batch future (batch.go): the dispatcher runs
-	// RunBatch over the items — one machine acquisition for all of them
-	// — and resolves with a nil Result once every item's Err/Res is
-	// populated. Batch futures never touch the result cache.
-	batch *batchSpec
+	// steps is the work; lone backs it for a single-step future, saving
+	// an allocation.
+	steps []step
+	lone  [1]step
 
 	res *Result
 	err error
 	m   RequestMetrics
+}
+
+// newFuture returns an unadmitted future carrying the one step s.
+func newFuture(s step) *Future {
+	f := &Future{done: make(chan struct{})}
+	f.lone[0] = s
+	f.steps = f.lone[:]
+	return f
 }
 
 // Done returns a channel closed when the result is available.
@@ -339,54 +346,11 @@ func (p *EnginePool) Engines() int { return len(p.shards) }
 // The ctx travels with the request — cancellation while queued resolves
 // the Future with ctx.Err() without occupying an engine.
 func (p *EnginePool) Submit(ctx context.Context, req Request) (*Future, error) {
-	if err := ctx.Err(); err != nil {
+	f := newFuture(step{Step: wholeStep, req: req, res: new(Result)})
+	if err := p.submit(ctx, f); err != nil {
 		return nil, err
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
-	}
-	if p.cache != nil && req.Faults == nil {
-		if key, ok := keyOf(&p.cfg.Engine, req); ok {
-			if res := p.cache.get(key); res != nil {
-				p.cacheHits.Add(1)
-				if o := p.cfg.Observer; o != nil {
-					o.CacheHitObserved()
-				}
-				f := &Future{done: make(chan struct{}), m: RequestMetrics{Engine: -1, CacheHit: true}}
-				f.resolve(res, nil)
-				if p.spobsv != nil && req.Trace.Sampled {
-					now := time.Now()
-					p.childSpan(req.Trace, "cache", -1, 0, now, 0, "")
-					p.rootSpan(req.Trace, -1, 0, now, 0, "")
-				}
-				return f, nil
-			}
-		}
-	}
-	s := p.pick(req)
-	f := &Future{ctx: ctx, req: req, enq: time.Now(), done: make(chan struct{})}
-	f.born = f.enq
-	if req.Deadline > 0 {
-		f.deadline = f.enq.Add(req.Deadline)
-		f.req.deadlineAt = f.deadline
-	}
-	s.pending.Add(1)
-	select {
-	case s.queue <- f:
-		if o := p.cfg.Observer; o != nil {
-			o.EnqueueObserved(len(s.queue))
-		}
-		return f, nil
-	default:
-		s.pending.Add(-1)
-		p.rejected.Add(1)
-		if o := p.cfg.Observer; o != nil {
-			o.ShedObserved()
-		}
-		return nil, fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
-	}
+	return f, nil
 }
 
 // Do serves one request synchronously: admit (retrying queue-full with
@@ -394,18 +358,99 @@ func (p *EnginePool) Submit(ctx context.Context, req Request) (*Future, error) {
 // the closed-loop caller's entry point; open-loop callers use Submit
 // and shed on ErrQueueFull instead.
 func (p *EnginePool) Do(ctx context.Context, req Request) (*Result, error) {
+	f := newFuture(step{Step: wholeStep, req: req, res: new(Result)})
+	if err := p.admit(ctx, f); err != nil {
+		return nil, err
+	}
+	return f.Wait(ctx)
+}
+
+// submit is the pool's one admission: a single non-blocking attempt to
+// enqueue f on the shard pick chooses. A solo request may instead be
+// answered from the result cache. Relative deadlines are armed at the
+// first attempt, so admission and queue time spend the same budget as
+// service. A full queue fails with ErrQueueFull; a shed request or batch
+// counts in Rejected, a plan step does not (its coordinator waits in
+// admit instead of shedding).
+func (p *EnginePool) submit(ctx context.Context, f *Future) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
+		return fmt.Errorf("engine pool: %w", ErrPoolClosed)
+	}
+	s0 := &f.steps[0]
+	if p.cache != nil && s0.solo() && s0.req.Faults == nil {
+		if key, ok := keyOf(&p.cfg.Engine, s0.req); ok {
+			if res := p.cache.get(key); res != nil {
+				p.cacheHits.Add(1)
+				if o := p.cfg.Observer; o != nil {
+					o.CacheHitObserved()
+				}
+				f.m = RequestMetrics{Engine: -1, CacheHit: true}
+				f.resolve(res, nil)
+				if tc := s0.req.Trace; p.spobsv != nil && tc.Sampled {
+					now := time.Now()
+					p.childSpan(tc, "cache", -1, 0, now, 0, "")
+					p.rootSpan(tc, -1, 0, now, 0, "")
+				}
+				return nil
+			}
+		}
+	}
+	f.ctx, f.enq = ctx, time.Now()
+	if f.born.IsZero() {
+		f.born = f.enq
+	}
+	for i := range f.steps {
+		if r := &f.steps[i].req; r.Deadline > 0 && r.deadlineAt.IsZero() {
+			r.deadlineAt = f.enq.Add(r.Deadline)
+		}
+	}
+	if s0.item == nil {
+		f.deadline = s0.req.deadlineAt
+	}
+	s := p.pick(f)
+	s.pending.Add(1)
+	select {
+	case s.queue <- f:
+		if o := p.cfg.Observer; o != nil {
+			o.EnqueueObserved(len(s.queue))
+		}
+		return nil
+	default:
+	}
+	s.pending.Add(-1)
+	if s0.Kind == plan.KindWhole {
+		p.rejected.Add(1)
+		if o := p.cfg.Observer; o != nil {
+			o.ShedObserved()
+		}
+	}
+	return fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
+}
+
+// admit is the pool's backpressure loop: it retries submit on a full
+// queue, backing off, until f is admitted, ctx is done, the pool
+// closes, or f's deadline passes. Closed-loop callers (Do) and sharded
+// plan steps wait here instead of shedding.
+func (p *EnginePool) admit(ctx context.Context, f *Future) error {
 	backoff := 10 * time.Microsecond
 	for {
-		f, err := p.Submit(ctx, req)
-		if err == nil {
-			return f.Wait(ctx)
-		}
+		err := p.submit(ctx, f)
 		if !errors.Is(err, ErrQueueFull) {
-			return nil, err
+			return err
+		}
+		if !f.deadline.IsZero() && time.Now().After(f.deadline) {
+			return fmt.Errorf("engine pool: deadline passed awaiting admission: %w", ErrDeadlineExceeded)
 		}
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
+		case <-p.stop:
+			return fmt.Errorf("engine pool: %w", ErrPoolClosed)
 		case <-time.After(backoff):
 		}
 		if backoff < 2*time.Millisecond {
@@ -414,22 +459,32 @@ func (p *EnginePool) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 }
 
-// pick chooses the serving shard: the size class's last engine when it
-// is idle and admitting (maximal arena reuse), otherwise the best
-// shard by choose's class-then-load order — which routes around open
-// breakers — updating the affinity hint to the choice.
-func (p *EnginePool) pick(req Request) *shard {
-	n := 0
-	if req.List != nil {
-		n = req.List.Len()
+// pick chooses the serving shard for f: its preferred engine when that
+// one is idle and admitting, otherwise the best shard by choose's
+// class-then-load order, which routes around open breakers. A whole
+// request or batch prefers the engine that last served its size class
+// (maximal arena reuse) and moves that hint to the choice; a plan step
+// prefers the engine its step ID maps to, spreading a stage's steps
+// across distinct engines.
+func (p *EnginePool) pick(f *Future) *shard {
+	s0 := &f.steps[0]
+	pref := s0.ID
+	var hint *atomic.Int32
+	if s0.Kind == plan.KindWhole {
+		n := 0
+		if s0.req.List != nil {
+			n = s0.req.List.Len()
+		}
+		hint = &p.affinity[sizeClass(n)]
+		pref = int(hint.Load())
 	}
-	c := sizeClass(n)
-	s := p.shards[int(p.affinity[c].Load())%len(p.shards)]
-	if s.load() == 0 && s.brk.now() == BreakerClosed {
+	if s := p.shards[pref%len(p.shards)]; s.load() == 0 && s.brk.now() == BreakerClosed {
 		return s
 	}
 	best := p.choose(-1)
-	p.affinity[c].Store(int32(best.id))
+	if hint != nil {
+		hint.Store(int32(best.id))
+	}
 	return best
 }
 
@@ -442,9 +497,10 @@ func (p *EnginePool) dispatch(s *shard) {
 	}
 }
 
-// serve runs one admitted request on s's engine and resolves its
-// Future. A request whose ctx expired while queued is resolved without
-// touching the engine.
+// serve runs one admitted future on s's engine and resolves it. A
+// future whose ctx expired, or whose deadline passed, while queued is
+// resolved without touching the engine, so a backlog drains at channel
+// speed once a deadline storm passes.
 //
 // The load counter must drop BEFORE the future resolves: a caller
 // chaining Wait → Submit otherwise races the decrement, sees the shard
@@ -458,94 +514,96 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 		o.DequeueObserved(wait, len(s.queue))
 	}
 	f.m = RequestMetrics{Engine: s.id, QueueWait: wait}
-	tc := traceOf(f)
+	s0 := &f.steps[0]
+	tc := f.trace()
 	traced := p.spobsv != nil && tc.Sampled
 	if traced {
 		p.childSpan(tc, "queue", s.id, f.attempts, f.enq, wait, "")
 	}
-	if err := f.ctx.Err(); err != nil {
+	var err error
+	switch {
+	case f.ctx.Err() != nil:
+		err = f.ctx.Err()
 		s.canceled.Add(1)
-		s.pending.Add(-1)
-		if traced && f.step == nil {
-			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
-		}
-		f.resolve(nil, err)
-		return
-	}
-	// A request whose budget ran out while queued is failed here without
-	// touching the engine, so a backlog drains at channel speed once a
-	// deadline storm passes.
-	if !f.deadline.IsZero() && start.After(f.deadline) {
+	case !f.deadline.IsZero() && start.After(f.deadline):
+		err = fmt.Errorf("engine pool: engine %d: queued past deadline: %w", s.id, ErrDeadlineExceeded)
 		s.deadlined.Add(1)
 		if p.robsv != nil {
 			p.robsv.DeadlineExceededObserved()
 		}
-		s.pending.Add(-1)
-		if traced && f.step == nil {
-			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), "deadline")
+	default:
+		err = s.eng.run(f.ctx, f.steps)
+		f.m.Service = time.Since(start)
+		s.serviceNs.Add(int64(f.m.Service))
+		if traced {
+			p.childSpan(tc, s0.spanName(), s.id, f.attempts, start, f.m.Service, spanStatus(err))
 		}
-		f.resolve(nil, fmt.Errorf("engine pool: engine %d: queued past deadline: %w", s.id, ErrDeadlineExceeded))
-		return
+		if p.tally(s, f, err) && p.retryable(f) && p.scheduleRetry(s, f, err) {
+			// The retry goroutine owns the future now; this shard is done
+			// with it.
+			s.pending.Add(-1)
+			return
+		}
 	}
-	if f.batch != nil {
-		p.serveBatch(s, f, start)
-		return
-	}
-
 	var res *Result
-	var err error
-	if f.step != nil {
-		err = s.eng.runStep(f.ctx, f.step)
-		s.steps.Add(1)
-	} else {
-		res = new(Result)
-		err = s.eng.RunInto(f.ctx, f.req, res)
-		s.served.Add(1)
-	}
-	f.m.Service = time.Since(start)
-	s.serviceNs.Add(int64(f.m.Service))
-	if traced {
-		name := "engine"
-		if f.step != nil {
-			name = stepLabel(f.step.kind)
+	if err == nil && s0.solo() {
+		res = s0.res
+		if p.cache != nil && s0.req.Faults == nil {
+			if key, ok := keyOf(&p.cfg.Engine, s0.req); ok {
+				p.cache.put(key, cloneResult(res))
+			}
 		}
-		p.childSpan(tc, name, s.id, f.attempts, start, f.m.Service, spanStatus(err))
 	}
-	if err != nil {
+	s.pending.Add(-1)
+	if traced && s0.solo() {
+		p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
+	}
+	f.resolve(res, err)
+}
+
+// tally counts a served future's steps into s's counters — Requests
+// for whole-request steps, Steps for plan steps, failures by class —
+// and feeds s's breaker: a transient failure anywhere is one fault,
+// anything else a healthy service. err is the outcome of the future's
+// steps without a batch item (each item's lands on the item). tally
+// reports whether err is transient, i.e. worth a retry; a batch, whose
+// items carry their own outcomes, is never retried as a unit.
+func (p *EnginePool) tally(s *shard, f *Future, err error) bool {
+	fault := false
+	for i := range f.steps {
+		st := &f.steps[i]
+		if st.Kind == plan.KindWhole {
+			s.served.Add(1)
+		} else {
+			s.steps.Add(1)
+		}
+		serr := err
+		if st.item != nil {
+			serr = st.item.Err
+		}
+		if serr == nil {
+			continue
+		}
 		s.failures.Add(1)
 		switch {
-		case errors.Is(err, ErrDeadlineExceeded):
+		case errors.Is(serr, ErrDeadlineExceeded):
 			s.deadlined.Add(1)
 			if p.robsv != nil {
 				p.robsv.DeadlineExceededObserved()
 			}
-		case pram.Transient(err):
-			p.noteFault(s)
-			if p.retryable(f) && p.scheduleRetry(s, f, err) {
-				// The retry goroutine owns the future now; this shard is
-				// done with it.
-				s.pending.Add(-1)
-				return
-			}
-		}
-		s.pending.Add(-1)
-		if traced && f.step == nil {
-			p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), spanStatus(err))
-		}
-		f.resolve(nil, err)
-		return
-	}
-	p.noteOK(s)
-	if f.step == nil && p.cache != nil && f.req.Faults == nil {
-		if key, ok := keyOf(&p.cfg.Engine, f.req); ok {
-			p.cache.put(key, cloneResult(res))
+		case pram.Transient(serr):
+			fault = true
 		}
 	}
-	s.pending.Add(-1)
-	if traced && f.step == nil {
-		p.rootSpan(tc, s.id, f.attempts, f.born, time.Since(f.born), "")
+	if f.steps[0].item != nil {
+		s.batches.Add(1)
 	}
-	f.resolve(res, nil)
+	if fault {
+		p.noteFault(s)
+	} else {
+		p.noteOK(s)
+	}
+	return pram.Transient(err)
 }
 
 // Close drains and shuts the pool down: admission stops (further

@@ -277,10 +277,9 @@ func (p *EnginePool) backoff(f *Future) time.Duration {
 // for the caller to fail — only when the pool is closing.
 func (p *EnginePool) scheduleRetry(from *shard, f *Future, cause error) bool {
 	f.attempts++
-	f.req.Faults = nil // injected faults model the environment, not the request
-	if f.step != nil {
-		f.step.faults = nil // same rule for sharded plan steps
-	}
+	// Injected faults model the environment, not the request. Only a
+	// single-step future is ever retried.
+	f.steps[0].req.Faults = nil
 	from.retries.Add(1)
 	if p.robsv != nil {
 		p.robsv.RetryObserved(from.id)
@@ -294,17 +293,17 @@ func (p *EnginePool) scheduleRetry(from *shard, f *Future, cause error) bool {
 // deadline passed, or pool shutdown (resolved with the original cause
 // so callers see the real failure, not an artefact of Close).
 func (p *EnginePool) retry(from *shard, f *Future, cause error) {
-	tc := traceOf(f)
+	tc := f.trace()
 	traced := p.spobsv != nil && tc.Sampled
 	t0 := time.Now()
 	// fail resolves f with err on a terminal retry-path exit, emitting
 	// the backoff span (tagged with the attempt it was buying) and — for
-	// plain futures — the trace's root span first, so a waiter that
+	// a solo request — the trace's root span first, so a waiter that
 	// reads the recorder after Wait sees the finished trace.
 	fail := func(status string, err error) {
 		if traced {
 			p.childSpan(tc, "retry", from.id, f.attempts, t0, time.Since(t0), status)
-			if f.step == nil {
+			if f.steps[0].solo() {
 				p.rootSpan(tc, from.id, f.attempts, f.born, time.Since(f.born), status)
 			}
 		}

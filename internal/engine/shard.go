@@ -4,12 +4,14 @@ package engine
 // one rank/prefix request into the contract → exchange → solve → expand
 // plan (internal/plan), co-schedules the plan's steps across the pool's
 // warm engines stage by stage, and stitches the shards' outputs into a
-// single Result that is bit-identical to a whole-request run. Steps
-// ride the ordinary admission queues as step futures, so they inherit
-// the full serving discipline — breakers route around quarantined
-// engines, deadlines abort queued or mid-service steps, and a transient
-// step failure retries THAT STEP on a different engine while the rest
-// of the plan proceeds. See DESIGN.md "Sharded execution".
+// single Result that is bit-identical to a whole-request run. Each
+// engine-run step rides the ordinary admission queues as a one-step
+// future and is served by the same engine path as a whole request
+// (step.go), so it gets the full serving discipline: breakers route
+// around quarantined engines, deadlines abort queued or mid-service
+// steps, and a transient step failure retries THAT STEP on a different
+// engine while the rest of the plan proceeds. See DESIGN.md "Sharded
+// execution".
 
 import (
 	"context"
@@ -142,9 +144,12 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 
 	t0 := time.Now()
 	traced := p.spobsv != nil && req.Trace.Sampled
-	var deadlineAt time.Time
+	// Every step carries the sharded request with the plan's deadline
+	// armed; the fault plan rides only on the step it targets.
+	sreq := req
+	sreq.Faults = nil
 	if req.Deadline > 0 {
-		deadlineAt = t0.Add(req.Deadline)
+		sreq.deadlineAt = t0.Add(req.Deadline)
 	}
 
 	pl := p.shardPlan(k)
@@ -153,18 +158,22 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 		wsp.Reset()
 		planScratch.Put(wsp)
 	}()
-	// Steps trust the list; validate it once here, like serve does per
-	// whole request.
+	// Steps trust the list; validate it once here, as a whole-request
+	// step validates its own.
 	if err := req.List.ValidateInto(wsp.Ints(n)); err != nil {
 		return nil, fmt.Errorf("engine pool: sharded request: %w", err)
 	}
 	st := rank.NewShardState(wsp, req.List, vals, k)
 
-	specs := make([]stepSpec, len(pl.Steps))
 	futs := make([]*Future, len(pl.Steps))
 	sh := &ShardStats{Shards: k, ContractWall: make([]time.Duration, k)}
 	var agg pram.Stats
 	var firstErr error
+	fail := func(ps plan.Step, err error) {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("engine pool: sharded %s step shard %d: %w", ps.Kind, ps.Shard, err)
+		}
+	}
 
 stages:
 	for _, stage := range pl.Stages() {
@@ -182,26 +191,13 @@ stages:
 			continue
 		}
 		for _, id := range stage {
-			step := pl.Steps[id]
-			specs[id] = stepSpec{
-				kind:       step.Kind,
-				shard:      step.Shard,
-				st:         st,
-				procs:      req.Processors,
-				deadlineAt: deadlineAt,
-				trace:      req.Trace,
+			ps := pl.Steps[id]
+			f := newFuture(step{Step: ps, req: sreq, st: st})
+			if req.Faults != nil && ps.Kind == plan.KindLocalContract && ps.Shard == 0 {
+				f.steps[0].req.Faults = req.Faults
 			}
-			if step.Kind == plan.KindReducedSolve {
-				specs[id].shard = 0
-			}
-			if req.Faults != nil && step.Kind == plan.KindLocalContract && step.Shard == 0 {
-				specs[id].faults = req.Faults
-			}
-			f, err := p.submitStep(ctx, id, &specs[id])
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("engine pool: sharded %s step shard %d: %w", step.Kind, step.Shard, err)
-				}
+			if err := p.admit(ctx, f); err != nil {
+				fail(ps, err)
 				break
 			}
 			futs[id] = f
@@ -210,45 +206,37 @@ stages:
 		// included — the shared scratch must not recycle while any engine
 		// can still write it. A retried step's future resolves through
 		// its final attempt, so this also waits out in-flight retries.
+		// Simulated time advances by the stage's slowest step: the plan's
+		// stages are barriers, so steps within one stage overlap.
 		var stageWall time.Duration
+		var stageTime int64
 		for _, id := range stage {
 			f := futs[id]
 			if f == nil {
 				continue
 			}
 			<-f.Done()
-			if err := f.err; err != nil {
-				if firstErr == nil {
-					step := pl.Steps[id]
-					firstErr = fmt.Errorf("engine pool: sharded %s step shard %d: %w", step.Kind, step.Shard, err)
-				}
+			if f.err != nil {
+				fail(pl.Steps[id], f.err)
 				continue
 			}
+			s0 := &f.steps[0]
 			sh.StepRetries += f.m.Retries
-			if f.m.Service > stageWall {
-				stageWall = f.m.Service
-			}
-			agg.Work += specs[id].stats.Work
-			if specs[id].kind == plan.KindLocalContract {
-				sh.ContractWall[specs[id].shard] = f.m.Service
+			stageWall = max(stageWall, f.m.Service)
+			stageTime = max(stageTime, s0.stats.Time)
+			agg.Work += s0.stats.Work
+			if s0.Kind == plan.KindLocalContract {
+				sh.ContractWall[s0.Shard] = f.m.Service
 			}
 		}
 		if firstErr != nil {
 			break stages
 		}
-		// Simulated time advances by the stage's slowest step: the plan's
-		// stages are barriers, so steps within one stage overlap.
-		var stageTime int64
-		for _, id := range stage {
-			if t := specs[id].stats.Time; t > stageTime {
-				stageTime = t
-			}
-		}
 		agg.Time += stageTime
 		if p.shobsv != nil {
 			for _, id := range stage {
-				p.shobsv.ShardStepObserved(stepLabel(specs[id].kind), specs[id].shard,
-					futs[id].m.Service, stageWall-futs[id].m.Service)
+				s0 := &futs[id].steps[0]
+				p.shobsv.ShardStepObserved(s0.label(), s0.Shard, futs[id].m.Service, stageWall-futs[id].m.Service)
 			}
 		}
 	}
@@ -279,61 +267,4 @@ stages:
 	res := &Result{Op: req.Op, Stats: agg, Sharding: sh}
 	res.Ranks = append(res.Ranks, st.Out[:n]...)
 	return res, nil
-}
-
-// submitStep admits one plan step, spinning with backpressure on full
-// queues the way Do does for whole requests — steps never shed, they
-// wait (bounded by ctx, the plan deadline, and pool shutdown).
-func (p *EnginePool) submitStep(ctx context.Context, idx int, spec *stepSpec) (*Future, error) {
-	backoff := 10 * time.Microsecond
-	for {
-		f, err := p.trySubmitStep(ctx, idx, spec)
-		if err == nil {
-			return f, nil
-		}
-		if !errors.Is(err, ErrQueueFull) {
-			return nil, err
-		}
-		if !spec.deadlineAt.IsZero() && time.Now().After(spec.deadlineAt) {
-			return nil, fmt.Errorf("engine pool: deadline passed awaiting step admission: %w", ErrDeadlineExceeded)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-p.stop:
-			return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
-		case <-time.After(backoff):
-		}
-		if backoff < 2*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// trySubmitStep performs one non-blocking step admission: prefer the
-// step-index-aligned shard (spreading a stage's steps across distinct
-// engines), spill to the best admitting shard when it is busy or
-// quarantined, and shed with ErrQueueFull when that queue is full too.
-func (p *EnginePool) trySubmitStep(ctx context.Context, idx int, spec *stepSpec) (*Future, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return nil, fmt.Errorf("engine pool: %w", ErrPoolClosed)
-	}
-	s := p.shards[idx%len(p.shards)]
-	if s.load() > 0 || s.brk.now() != BreakerClosed {
-		s = p.choose(-1)
-	}
-	f := &Future{ctx: ctx, enq: time.Now(), done: make(chan struct{}), step: spec, deadline: spec.deadlineAt}
-	s.pending.Add(1)
-	select {
-	case s.queue <- f:
-		if o := p.cfg.Observer; o != nil {
-			o.EnqueueObserved(len(s.queue))
-		}
-		return f, nil
-	default:
-		s.pending.Add(-1)
-		return nil, fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
-	}
 }

@@ -20,22 +20,28 @@ import (
 	"time"
 
 	"parlist/internal/obs"
+	"parlist/internal/plan"
 	"parlist/internal/pram"
 )
 
-// traceOf returns the trace context a future's spans belong to. Step
-// futures carry their sharded request's context (shard.go); batch
-// futures are untraced as a unit — the serving layer traces each fused
-// item itself — and plain futures carry their request's.
-func traceOf(f *Future) obs.TraceContext {
-	switch {
-	case f.step != nil:
-		return f.step.trace
-	case f.batch != nil:
-		return obs.TraceContext{}
-	default:
-		return f.req.Trace
+// trace returns the trace context f's pool spans belong to: its
+// request's, or its sharded request's for a plan step. A fused batch is
+// untraced as a unit — the serving layer traces each fused item itself.
+func (f *Future) trace() obs.TraceContext {
+	if s0 := &f.steps[0]; s0.item == nil {
+		return s0.req.Trace
 	}
+	return obs.TraceContext{}
+}
+
+// spanName names a step's engine-side span: "engine" for a whole
+// request, the step's observer label ("step-contract", ...) for a plan
+// step.
+func (s *step) spanName() string {
+	if s.Kind == plan.KindWhole {
+		return "engine"
+	}
+	return s.label()
 }
 
 // childSpan emits one child span of tc's root; the recorder mints the

@@ -1,57 +1,81 @@
 package engine
 
-// This file is the engine side of sharded execution: one plan step —
-// a shard-local contraction, the reduced solve, or a shard-local
-// expansion — served on a warm engine exactly the way a whole request
-// is. runStep mirrors RunInto (semaphore, deadline, rebuild-on-degrade,
-// workspace/machine reset, fault plan, observer) so a step inherits the
-// entire serving discipline for free: a step that panics on an injected
-// fault is a transient failure the pool retries on another engine, a
-// step that outlives its budget aborts between rounds with
-// ErrDeadlineExceeded, and a step on a degraded machine pays the same
-// rebuild a request would. The kernels live in internal/rank; the
-// cross-step state they share is the coordinator-owned rank.ShardState,
-// never this engine's workspace, so resetting the arena here cannot
-// invalidate another shard's step.
+// This file is the engine's one dispatch path. All engine work is a
+// plan step (internal/plan) bound to its inputs:
+//
+//   - a whole request is a KindWhole step carrying its Request and
+//     *Result (Engine.RunInto, EnginePool.Submit/Do);
+//   - a fused batch is a run of KindWhole steps, one per BatchItem,
+//     served under a single machine acquisition (SubmitBatch);
+//   - a sharded request is its plan's contract, solve and expand steps,
+//     each carrying the coordinator-owned rank.ShardState (ShardedDo).
+//
+// run is the only way work reaches the machine, and serve is the only
+// serving function: the closed check, validation, deadline, rebuild of
+// a degraded machine, workspace and accounting reset, fault plan, the
+// kernel under recover, the observer hook and the stats update each
+// happen there once, for every kind of step. What differs between kinds
+// is data on the step — its stats counter, its observer label, whether
+// it validates the list.
+//
+// A shard step's cross-step state lives in the coordinator's
+// ShardState, never in this engine's workspace, so resetting the arena
+// here cannot invalidate another shard's step.
 
 import (
 	"context"
 	"fmt"
 	"time"
 
-	"parlist/internal/obs"
 	"parlist/internal/plan"
 	"parlist/internal/pram"
 	"parlist/internal/rank"
 )
 
-// stepSpec describes one sharded plan step bound to its request's
-// shared state. The pool's coordinator (ShardedDo) owns the spec; the
-// serving engine fills stats on success. faults carries the request's
-// fault plan on the step it targets (first attempt only — the retry
-// path strips it, mirroring whole-request retries).
-type stepSpec struct {
-	kind  plan.Kind
-	shard int
-	st    *rank.ShardState
-	// procs overrides the engine's simulated processor count (0 =
-	// engine default), mirroring Request.Processors.
-	procs      int
-	faults     *pram.FaultPlan
-	deadlineAt time.Time
-	// trace is the owning sharded request's trace context: step spans
-	// ("queue", "step-*", "retry") parent onto its root span, which the
-	// coordinator emits when the plan resolves.
-	trace obs.TraceContext
-	// stats is the step's simulated accounting, valid after a
-	// successful run.
+// step is one unit of engine work: a plan step bound to its inputs.
+type step struct {
+	plan.Step
+	// req is the request the step serves. A shard step carries its
+	// sharded request: processor count, trace, the plan deadline (in
+	// deadlineAt), and the fault plan on the one step it targets.
+	req Request
+	// res receives a KindWhole step's output.
+	res *Result
+	// item, when non-nil, is the fused-batch item the step serves: its
+	// Ctx bounds the step too, and its Err, Start and End receive the
+	// outcome, so one failed item never fails its batchmates.
+	item *BatchItem
+	// st is a shard step's shared plan state.
+	st *rank.ShardState
+	// stats is a shard step's simulated accounting, valid after a
+	// successful run; a KindWhole step's lands in res.Stats.
 	stats pram.Stats
 }
 
-// stepLabel is the observer label for a step kind — precomputed
-// constants so the observation path does not allocate.
-func stepLabel(k plan.Kind) string {
-	switch k {
+// wholeStep is the trivial plan's one step: the template of every
+// whole-request step.
+var wholeStep = plan.Whole().Steps[0]
+
+// solo reports a whole request served on its own rather than inside a
+// fused batch: only such a step may be answered from the result cache,
+// and only its pool future emits the trace's root span.
+func (s *step) solo() bool { return s.Kind == plan.KindWhole && s.item == nil }
+
+// sim returns where the step's simulated accounting lands.
+func (s *step) sim() *pram.Stats {
+	if s.Kind == plan.KindWhole {
+		return &s.res.Stats
+	}
+	return &s.stats
+}
+
+// label is the step's observer label: the op name of a whole request,
+// the step kind of a plan step. All are constants, so observation does
+// not allocate.
+func (s *step) label() string {
+	switch s.Kind {
+	case plan.KindWhole:
+		return s.req.Op.String()
 	case plan.KindLocalContract:
 		return "step-contract"
 	case plan.KindReducedSolve:
@@ -62,17 +86,32 @@ func stepLabel(k plan.Kind) string {
 	return "step"
 }
 
-// runStep serves one plan step on this engine, blocking until the
-// machine is free or ctx is done. It is RunInto for sub-requests: same
-// admission, same deadline arithmetic, same accounting — steps count in
-// Stats.Steps rather than Stats.Requests.
-func (e *Engine) runStep(ctx context.Context, spec *stepSpec) error {
+// context returns the context bounding the step: its batch item's own
+// when it has one, else the run's.
+func (s *step) context(ctx context.Context) context.Context {
+	if s.item != nil && s.item.Ctx != nil {
+		return s.item.Ctx
+	}
+	return ctx
+}
+
+// run serves steps back-to-back under one acquisition of the machine,
+// blocking until it is free or ctx is done. Deadlines are fixed before
+// the wait, so time queued behind the machine spends the same budget as
+// service. A ctx that is done before the machine is acquired fails the
+// whole run. After that each step is served in turn; a step whose
+// context has died is failed with its context's error without touching
+// the machine. A batch item's outcome lands on the item; run returns
+// the outcome of the last step without one.
+func (e *Engine) run(ctx context.Context, steps []step) error {
+	// A done context always wins, even when the machine is free (select
+	// picks randomly among ready cases).
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	at := spec.deadlineAt
-	if d, ok := ctx.Deadline(); ok && (at.IsZero() || d.Before(at)) {
-		at = d
+	for i := range steps {
+		s := &steps[i]
+		s.req.deadlineAt = effectiveDeadline(s.context(ctx), &s.req)
 	}
 	select {
 	case e.sem <- struct{}{}:
@@ -80,7 +119,53 @@ func (e *Engine) runStep(ctx context.Context, spec *stepSpec) error {
 		return ctx.Err()
 	}
 	defer func() { <-e.sem }()
+	var err error
+	for i := range steps {
+		s := &steps[i]
+		it := s.item
+		if err = ctx.Err(); err == nil {
+			err = s.context(ctx).Err()
+		}
+		if err == nil {
+			if it != nil {
+				it.Start = time.Now()
+			}
+			err = e.serve(s)
+			if it != nil {
+				it.End = time.Now()
+			}
+		}
+		if it != nil {
+			it.Err, err = err, nil
+		}
+	}
+	return err
+}
 
+// effectiveDeadline derives a request's absolute deadline: the earliest
+// of the context deadline, the deadline already armed on the request,
+// and the request-relative budget measured from now. Requests without
+// any deadline skip the clock reads entirely.
+func effectiveDeadline(ctx context.Context, req *Request) time.Time {
+	var at time.Time
+	if d, ok := ctx.Deadline(); ok {
+		at = d
+	}
+	if !req.deadlineAt.IsZero() && (at.IsZero() || req.deadlineAt.Before(at)) {
+		at = req.deadlineAt
+	}
+	if req.Deadline > 0 {
+		if t := time.Now().Add(req.Deadline); at.IsZero() || t.Before(at) {
+			at = t
+		}
+	}
+	return at
+}
+
+// serve serves one step on the held machine and accounts for it: the
+// observer sees one observation and the cumulative stats one Requests
+// (KindWhole) or Steps (plan step) tick per step, failures included.
+func (e *Engine) serve(s *step) error {
 	var t0 time.Time
 	var arena0 uint64
 	if e.cfg.Observer != nil {
@@ -88,46 +173,69 @@ func (e *Engine) runStep(ctx context.Context, spec *stepSpec) error {
 		arena0 = e.wsp.Stats().BytesAllocated
 	}
 
-	err := e.serveStep(spec, at)
+	err := e.prepare(s)
+	if err == nil {
+		err = e.dispatch(s)
+	}
 
 	if o := e.cfg.Observer; o != nil {
-		o.RequestObserved(stepLabel(spec.kind), time.Since(t0), err != nil,
+		o.RequestObserved(s.label(), time.Since(t0), err != nil,
 			e.wsp.Stats().BytesAllocated-arena0)
 		if e.m != nil {
+			// Close the step's trailing phase span so idle time between
+			// steps is not charged to it.
 			e.m.FlushSpans()
 		}
 	}
 
 	st := <-e.statsCh
-	st.Steps++
+	if s.Kind == plan.KindWhole {
+		st.Requests++
+	} else {
+		st.Steps++
+	}
 	if err != nil {
 		st.Failures++
 	} else {
-		st.SimTime += spec.stats.Time
-		st.SimWork += spec.stats.Work
+		st.SimTime += s.sim().Time
+		st.SimWork += s.sim().Work
 	}
 	st.Arena = e.wsp.Stats()
 	e.statsCh <- st
 	return err
 }
 
-// serveStep runs one step under the semaphore — the step analogue of
-// serve, minus request validation (the coordinator validated the list
-// once for the whole plan).
-func (e *Engine) serveStep(spec *stepSpec, at time.Time) error {
+// prepare readies the machine for s: validate the request, rebuild a
+// missing, resized, degraded or killed machine, recycle the scratch
+// epoch, rewind the accounting, and (re)install the step's fault plan
+// and deadline. The pool's round counter rewinds with the accounting,
+// so fault coordinates never depend on how many steps this machine
+// served before, and a stale deadline can never leak from an aborted
+// predecessor. Only a KindWhole step validates its list — a sharded
+// plan's coordinator validates it once for all of its steps.
+func (e *Engine) prepare(s *step) error {
+	req := &s.req
 	if e.closed {
 		return fmt.Errorf("engine: %w", ErrClosed)
 	}
-	p := spec.procs
+	if req.List == nil {
+		return fmt.Errorf("engine: %w", ErrNilList)
+	}
+	p := req.Processors
 	if p == 0 {
 		p = e.cfg.Processors
 	}
 	if p < 1 {
 		return fmt.Errorf("engine: %d %w", p, ErrBadProcessors)
 	}
-	if !at.IsZero() {
+	if e.cfg.Exec == pram.Native && req.Faults != nil {
+		return fmt.Errorf("engine: fault plans: %w", ErrNativeUnsupported)
+	}
+	// A budget that died while the step waited (in the pool queue or
+	// behind this machine's semaphore) fails before any machine work.
+	if at := req.deadlineAt; !at.IsZero() {
 		if now := time.Now(); now.After(at) {
-			return fmt.Errorf("engine: deadline passed %v before step dispatch: %w", now.Sub(at), ErrDeadlineExceeded)
+			return fmt.Errorf("engine: deadline passed %v before dispatch: %w", now.Sub(at), ErrDeadlineExceeded)
 		}
 	}
 	if e.m == nil || e.m.Processors() != p || e.m.Degraded() || e.killed {
@@ -136,42 +244,57 @@ func (e *Engine) serveStep(spec *stepSpec, at time.Time) error {
 	}
 	e.wsp.Reset()
 	e.m.Reset()
-	e.m.SetFaults(spec.faults)
-	e.m.SetDeadline(at)
-	return e.dispatchStep(spec)
+	e.m.SetFaults(req.Faults)
+	e.m.SetDeadline(req.deadlineAt)
+	if s.Kind != plan.KindWhole {
+		return nil
+	}
+	if err := req.List.ValidateInto(e.wsp.Ints(req.List.Len())); err != nil {
+		return err
+	}
+	res := s.res
+	res.Op = req.Op
+	res.Algorithm = ""
+	res.In = res.In[:0]
+	res.Labels = res.Labels[:0]
+	res.Ranks = res.Ranks[:0]
+	res.Size, res.Sets, res.Rounds, res.TableSize = 0, 0, 0, 0
+	return nil
 }
 
-// dispatchStep executes the step kernel on the prepared machine,
-// translating recovered executor failures through the same taxonomy as
-// whole-request dispatch.
-func (e *Engine) dispatchStep(spec *stepSpec) (err error) {
+// dispatch runs the step's kernel on the prepared machine and snapshots
+// its accounting, translating recovered executor failures (an injected
+// worker panic, a stalled barrier abandoned by the watchdog, a deadline
+// abort) into errors. The machine is left degraded by the first two;
+// the next step rebuilds it.
+func (e *Engine) dispatch(s *step) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = recoveredError(r)
 		}
 	}()
-	switch spec.kind {
+	switch s.Kind {
+	case plan.KindWhole:
+		err = e.execute(&s.req, s.res)
 	case plan.KindLocalContract:
-		rank.ContractShard(e.m, spec.st, spec.shard)
+		rank.ContractShard(e.m, s.st, s.Shard)
 	case plan.KindReducedSolve:
-		if e.nativeWalk == nil {
-			e.nativeWalk = rank.NewNativeWalker(e.m)
-		}
-		rank.SolveReduced(e.m, e.nativeWalk, spec.st)
+		rank.SolveReduced(e.m, e.walker(), s.st)
 	case plan.KindLocalExpand:
-		rank.ExpandShard(e.m, spec.st, spec.shard)
+		rank.ExpandShard(e.m, s.st, s.Shard)
 	default:
-		return fmt.Errorf("engine: step kind %v: %w", spec.kind, ErrUnknownOp)
+		err = fmt.Errorf("engine: step kind %v: %w", s.Kind, ErrUnknownOp)
 	}
-	e.m.SnapshotInto(&spec.stats)
-	return nil
+	if err == nil {
+		e.m.SnapshotInto(s.sim())
+	}
+	return err
 }
 
 // recoveredError maps a recovered executor failure into the engine
-// error taxonomy — shared by whole-request and step dispatch. Worker
-// panics and barrier stalls are transient (the machine is degraded and
-// rebuilt next use); a deadline abort leaves the machine healthy.
-// Anything else is re-raised.
+// error taxonomy. Worker panics and barrier stalls are transient (the
+// machine is degraded and rebuilt next use); a deadline abort leaves
+// the machine healthy. Anything else is re-raised.
 func recoveredError(r any) error {
 	switch f := r.(type) {
 	case *pram.WorkerPanic:

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +205,52 @@ func readAll(b *strings.Builder, r interface{ Read([]byte) (int, error) }) (int6
 				return n, nil
 			}
 			return n, err
+		}
+	}
+}
+
+// TestCollectorFirstUseConcurrent hits every tracked worker id and every
+// engine's breaker series for the first time from many goroutines at
+// once. Each lazily created pair of series (wait-ns and wait-count per
+// worker, state and trips per engine) must become visible as one unit:
+// a caller that sees half a pair dereferences a nil series. Every
+// observation must also land exactly once.
+func TestCollectorFirstUseConcurrent(t *testing.T) {
+	const goroutines, rounds = 8, 40
+	for r := 0; r < rounds; r++ {
+		reg := NewRegistry()
+		c := NewCollector(reg)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for id := 0; id < MaxTrackedWorkers; id++ {
+					c.BarrierWaitObserved(id, time.Nanosecond)
+					c.BreakerStateObserved(id, 1)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+
+		waits := c.WorkerWaitNs()
+		if len(waits) != MaxTrackedWorkers {
+			t.Fatalf("round %d: %d tracked workers, want %d", r, len(waits), MaxTrackedWorkers)
+		}
+		for id := 0; id < MaxTrackedWorkers; id++ {
+			label := strconv.Itoa(id)
+			if waits[id] != goroutines {
+				t.Fatalf("round %d: worker %d wait ns = %d, want %d", r, id, waits[id], goroutines)
+			}
+			if n := reg.Counter("parlist_barrier_worker_waits_total", "", "worker", label).Value(); n != goroutines {
+				t.Fatalf("round %d: worker %d waits = %d, want %d", r, id, n, goroutines)
+			}
+			if n := reg.Counter("parlist_breaker_trips_total", "", "engine", label).Value(); n != goroutines {
+				t.Fatalf("round %d: engine %d trips = %d, want %d", r, id, n, goroutines)
+			}
 		}
 	}
 }

@@ -1,18 +1,20 @@
 // Package plan compiles a serving request into an explicit pipeline of
 // execution steps with data-movement edges — the intermediate
 // representation between "a request arrived" and "machines ran
-// kernels". The ordinary whole-request path compiles to the trivial
-// one-step plan, so nothing about single-engine serving changes; a
-// sharded rank/prefix request compiles to the distributed list-ranking
-// recipe (Sanders–Schimek–Uhl–Weidmann, PAPERS.md): contract locally
-// per shard, exchange boundary records, solve the small reduced list,
+// kernels". The step is the engine's only unit of work
+// (internal/engine): a whole request is served as the trivial plan's
+// one KindWhole step, a fused batch as a run of such steps, and a
+// sharded rank/prefix request as the distributed list-ranking recipe
+// (Sanders–Schimek–Uhl–Weidmann, PAPERS.md): contract locally per
+// shard, exchange boundary records, solve the small reduced list,
 // expand locally.
 //
 // The package is deliberately inert: a Plan names steps and their
 // dependence edges but carries no closures, no machines and no data.
-// The scheduler (engine.EnginePool.ShardedDo) walks Stages and binds
-// each step to an engine; the kernels live in internal/rank. Keeping
-// the shape separate from the execution is what lets the same plan be
+// The engine binds each step to its inputs; the pool's sharded
+// scheduler (engine.EnginePool.ShardedDo) walks Stages and places each
+// step on an engine; the kernels live in internal/rank. Keeping the
+// shape separate from the execution is what lets the same plan be
 // co-scheduled across warm engines today and across OS processes later
 // (ROADMAP "scale past one process") — only the step bodies change.
 //
@@ -103,8 +105,8 @@ type Plan struct {
 }
 
 // Whole returns the trivial one-step plan: the unsharded request path,
-// expressed in the same vocabulary so the scheduler has exactly one
-// execution model.
+// expressed in the same vocabulary, so the engine has exactly one
+// execution model — its whole-request step is this plan's step.
 func Whole() Plan {
 	return Plan{K: 1, Steps: []Step{{ID: 0, Kind: KindWhole}}}
 }
