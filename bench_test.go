@@ -24,6 +24,7 @@ import (
 	"parlist/internal/shuffle"
 	"parlist/internal/sortint"
 	"parlist/internal/table"
+	"parlist/internal/ws"
 )
 
 const benchSeed = 1
@@ -578,6 +579,50 @@ func BenchmarkPoolThroughput(b *testing.B) {
 			if st.Requests > 0 {
 				b.ReportMetric(float64(st.QueueWait.Nanoseconds())/float64(st.Requests), "queue-wait-ns")
 			}
+		})
+	}
+}
+
+// laneSweepSizes straddle list.LaneWalkMin, the crossover from serial
+// pointer chases to lane walks, up to the bulk-serving size (E23).
+var laneSweepSizes = []int{1 << 12, 1 << 14, 1 << 15, 1 << 16, 1 << 20}
+
+// E23 — list validation, the structural pass plus the head-path walk
+// every whole request and every sharded request runs first.
+func BenchmarkValidate(b *testing.B) {
+	for _, n := range laneSweepSizes {
+		l := list.RandomList(n, benchSeed)
+		scratch := make([]int, list.ValidateScratchLen(n))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := l.ValidateInto(scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+		})
+	}
+}
+
+// E23 — the native rank kernel (splitter walk) on a 2-party native
+// machine with an engine-style workspace, reset between runs.
+func BenchmarkNativeRank(b *testing.B) {
+	for _, n := range laneSweepSizes {
+		l := list.RandomList(n, benchSeed)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			wsp := ws.New()
+			m := pram.New(8, pram.WithExec(pram.Native), pram.WithWorkers(2), pram.WithWorkspace(wsp))
+			defer m.Close()
+			w := rank.NewNativeWalker(m)
+			w.Rank(l) // warm the workspace
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wsp.Reset()
+				w.Rank(l)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
 		})
 	}
 }

@@ -398,10 +398,10 @@ func run(args []string, stdout *os.File) error {
 	}
 
 	// Sharded execution: one rank request fanned out across K engine
-	// shards on a warm 4-engine pool. shards=1 is the whole-request
-	// control (same pool, same list). On the 1-CPU bench host the
-	// shards never overlap in wall time, so ns/op mostly tracks the
-	// stage bookkeeping; the stable sharded metrics are allocs/op (the
+	// shards on a warm 4-engine pool. shards=1 runs the one-shard plan
+	// on the same kernels, so the K ≥ 2 rows isolate sharding cost. On
+	// the 1-CPU bench host the shards never overlap in wall time, so
+	// ns/op mostly tracks the stage bookkeeping; the stable sharded metrics are allocs/op (the
 	// plan's flat budget), exchange_bytes (the data-movement cost the
 	// PEM model bounds) and imbalance. E20 sweeps the same axes.
 	{

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -178,9 +179,57 @@ func TestNativeKernelEdgeSizes(t *testing.T) {
 	}
 }
 
+// TestNativeLaneWalkEquivalence covers the lane-walk side of
+// list.LaneWalkMin, where validation and the rank/prefix kernel switch
+// from serial pointer chases to lane walks: on every generator, at
+// sizes just below, at and above the crossover and well past it, native
+// rank and prefix — whole and sharded at K ∈ {2, 3} — must be
+// bit-identical to a Sequential engine's.
+func TestNativeLaneWalkEquivalence(t *testing.T) {
+	native, seq := nativeEngines(t)
+	pool := NewPool(PoolConfig{Engines: 2, Engine: Config{Processors: 8, Exec: pram.Native, Workers: 2}})
+	defer pool.Close()
+	for _, g := range list.Generators() {
+		for _, n := range []int{list.LaneWalkMin - 1, list.LaneWalkMin, list.LaneWalkMin + 1, 1 << 18} {
+			l := g.Make(n, 13)
+			vals := make([]int, n)
+			for i := range vals {
+				vals[i] = (i*11)%23 - 11
+			}
+			for _, req := range []Request{
+				{Op: OpRank, List: l},
+				{Op: OpPrefix, List: l, Values: vals},
+			} {
+				name := fmt.Sprintf("%s/n=%d/%s", g.Name, n, req.Op)
+				want, err := seq.Run(bg, req)
+				if err != nil {
+					t.Fatalf("%s: sequential: %v", name, err)
+				}
+				got, err := native.Run(bg, req)
+				if err != nil {
+					t.Fatalf("%s: native: %v", name, err)
+				}
+				if !reflect.DeepEqual(got.Ranks, want.Ranks) {
+					t.Fatalf("%s: native output diverges from sequential", name)
+				}
+				for _, k := range []int{2, 3} {
+					sh, err := pool.ShardedDo(bg, req, k)
+					if err != nil {
+						t.Fatalf("%s/K=%d: sharded: %v", name, k, err)
+					}
+					if !reflect.DeepEqual(sh.Ranks, want.Ranks) {
+						t.Fatalf("%s/K=%d: sharded output diverges from sequential", name, k)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestNativeSteadyStateZeroAlloc extends the engine's headline number to
 // the native executor: after warmup, kernel-served requests at a fixed
-// n — matching, partition, rank, prefix — allocate nothing.
+// n — matching, partition, rank, prefix — allocate nothing, below and
+// above list.LaneWalkMin.
 func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	eng := New(Config{Processors: 8, Exec: pram.Native, Workers: 4})
 	defer eng.Close()
@@ -188,6 +237,13 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 	vals := make([]int, l.Len())
 	for i := range vals {
 		vals[i] = i % 5
+	}
+	// Past list.LaneWalkMin, validation and the rank/prefix kernel take
+	// the lane-walk path, which must be allocation-free too.
+	big := list.RandomList(2*list.LaneWalkMin, 5)
+	bigVals := make([]int, big.Len())
+	for i := range bigVals {
+		bigVals[i] = i % 5
 	}
 	for _, tc := range []struct {
 		name string
@@ -197,6 +253,9 @@ func TestNativeSteadyStateZeroAlloc(t *testing.T) {
 		{"partition", Request{Op: OpPartition, List: l, Iters: 2}},
 		{"rank", Request{Op: OpRank, List: l, Rank: RankContraction}},
 		{"prefix", Request{Op: OpPrefix, List: l, Values: vals}},
+		{"matching-lanes", Request{List: big}},
+		{"rank-lanes", Request{Op: OpRank, List: big, Rank: RankContraction}},
+		{"prefix-lanes", Request{Op: OpPrefix, List: big, Values: bigVals}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var res Result

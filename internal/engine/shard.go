@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"parlist/internal/list"
 	"parlist/internal/plan"
 	"parlist/internal/pram"
 	"parlist/internal/rank"
@@ -85,10 +86,11 @@ func (p *EnginePool) shardPlan(k int) plan.Plan {
 // expanded shard-locally again. The stitched output is bit-identical
 // to p.Do of the same request.
 //
-// A fan-out of 1 (or a list too small to split) serves the whole
-// request through p.Do unchanged. Ops other than OpRank (contraction
-// or Wyllie scheme) and OpPrefix fail with ErrShardUnsupported — their
-// algorithms are not decomposable into shard-local segments.
+// A fan-out of 1 runs the one-shard plan on the same kernels, so
+// comparing it with K ≥ 2 isolates the cost of sharding. Ops other
+// than OpRank (contraction or Wyllie scheme) and OpPrefix fail with
+// ErrShardUnsupported — their algorithms are not decomposable into
+// shard-local segments.
 //
 // Deadlines, retries and breakers apply per step: Request.Deadline
 // bounds the whole plan (admission to last expand), a transient step
@@ -130,17 +132,7 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 		return nil, fmt.Errorf("engine pool: sharded fault plans: %w", ErrNativeUnsupported)
 	}
 
-	k := shards
-	if k > n {
-		k = n
-	}
-	if k < 2 {
-		res, err := p.Do(ctx, req)
-		if res != nil {
-			res.Sharding = &ShardStats{Shards: 1, Segments: 1}
-		}
-		return res, err
-	}
+	k := max(1, min(shards, n))
 
 	t0 := time.Now()
 	traced := p.spobsv != nil && req.Trace.Sampled
@@ -160,7 +152,7 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 	}()
 	// Steps trust the list; validate it once here, as a whole-request
 	// step validates its own.
-	if err := req.List.ValidateInto(wsp.Ints(n)); err != nil {
+	if err := req.List.ValidateInto(wsp.IntsNoZero(list.ValidateScratchLen(n))); err != nil {
 		return nil, fmt.Errorf("engine pool: sharded request: %w", err)
 	}
 	st := rank.NewShardState(wsp, req.List, vals, k)

@@ -70,13 +70,12 @@ func TestShardedDoMatchesDo(t *testing.T) {
 					if sh.Shards != wantK {
 						t.Fatalf("%s n=%d k=%d: Shards = %d, want %d", gen.Name, n, k, sh.Shards, wantK)
 					}
-					if wantK >= 2 {
-						if sh.Segments < wantK || sh.Segments > n {
-							t.Fatalf("%s n=%d k=%d: %d segments outside [%d, %d]", gen.Name, n, k, sh.Segments, wantK, n)
-						}
-						if sh.ExchangeBytes != plan.ExchangeBytes(sh.Segments) {
-							t.Fatalf("%s n=%d k=%d: ExchangeBytes = %d, want %d", gen.Name, n, k, sh.ExchangeBytes, plan.ExchangeBytes(sh.Segments))
-						}
+					// Every fan-out, K = 1 included, runs the shard plan.
+					if sh.Segments < wantK || sh.Segments > n {
+						t.Fatalf("%s n=%d k=%d: %d segments outside [%d, %d]", gen.Name, n, k, sh.Segments, wantK, n)
+					}
+					if sh.ExchangeBytes != plan.ExchangeBytes(sh.Segments) {
+						t.Fatalf("%s n=%d k=%d: ExchangeBytes = %d, want %d", gen.Name, n, k, sh.ExchangeBytes, plan.ExchangeBytes(sh.Segments))
 					}
 				}
 			}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"parlist/internal/list"
 	"parlist/internal/plan"
 	"parlist/internal/pram"
 	"parlist/internal/rank"
@@ -249,7 +250,7 @@ func (e *Engine) prepare(s *step) error {
 	if s.Kind != plan.KindWhole {
 		return nil
 	}
-	if err := req.List.ValidateInto(e.wsp.Ints(req.List.Len())); err != nil {
+	if err := req.List.ValidateInto(e.wsp.IntsNoZero(list.ValidateScratchLen(req.List.Len()))); err != nil {
 		return err
 	}
 	res := s.res

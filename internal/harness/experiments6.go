@@ -98,7 +98,7 @@ func runE20(cfg Config) ([]*Table, error) {
 						crossings++
 					}
 				}
-				if kEff > 1 && sh.Segments != crossings+1 {
+				if sh.Segments != crossings+1 {
 					return nil, fmt.Errorf("E20 %s n=%d K=%d: %d segments, want crossings+1 = %d",
 						gn, n, k, sh.Segments, crossings+1)
 				}

@@ -8,6 +8,7 @@ package list
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 )
@@ -102,11 +103,45 @@ func (l *List) Clone() *List {
 // at most one, and all nodes reachable from Head.
 func (l *List) Validate() error { return l.ValidateInto(nil) }
 
-// ValidateInto is Validate with caller-provided scratch for the
-// in-degree table: indeg must be zeroed with len ≥ n, or nil to
-// allocate. The engine validates every request's list and passes arena
-// scratch here so validation stays off the steady-state alloc count.
-func (l *List) ValidateInto(indeg []int) error {
+// Lanes is how many independent pointer chases one goroutine advances
+// in lockstep in a lane walk (ValidateInto here, the native rank/prefix
+// kernel in internal/rank). A hop through a large random list is one
+// dependent cache miss; sixteen unrelated chases keep that many misses
+// in flight at once instead of one.
+const Lanes = 16
+
+// LaneWalkMin is the list length from which the list walks switch from
+// one serial chase to lane walks. Below it the successor array sits in
+// the innermost caches, a hop costs a few cycles rather than a miss,
+// and the lanes' bookkeeping costs more than the overlap saves. The
+// value is the smallest size of the sweep recorded in EXPERIMENTS.md
+// E23 at which lanes win on both walks.
+const LaneWalkMin = 1 << 14
+
+// ValidateScratchLen is the scratch length ValidateInto needs for an
+// n-node list: the in-degree bitmap, or the lane walk's splitter
+// records where those are longer.
+func ValidateScratchLen(n int) int {
+	words := (n + 63) >> 6
+	if n >= LaneWalkMin {
+		words = max(words, 2*((n-1)>>splitShift(n)+2))
+	}
+	return words
+}
+
+// splitShift is log2 of the lane walk's splitter stride: about 4096
+// splitters, enough sublists that the last few in flight are short
+// next to the whole walk, while their records (2 words each) stay
+// cache-resident.
+func splitShift(n int) int { return max(4, bits.Len(uint(n))-13) }
+
+// ValidateInto is Validate with caller-provided scratch: scratch must
+// have len ≥ ValidateScratchLen(n) (its contents are ignored), or be
+// nil to allocate. The structural pass keeps an in-degree bitmap in
+// it, and the reachability walk then reuses it for splitter records.
+// The engine validates every request's list and passes arena scratch
+// here so validation stays off the steady-state alloc count.
+func (l *List) ValidateInto(scratch []int) error {
 	n := len(l.Next)
 	if n == 0 {
 		return errors.New("list: empty")
@@ -114,12 +149,15 @@ func (l *List) ValidateInto(indeg []int) error {
 	if l.Head < 0 || l.Head >= n {
 		return fmt.Errorf("list: head %d out of range [0,%d)", l.Head, n)
 	}
-	tails := 0
-	if indeg == nil {
-		indeg = make([]int, n)
-	} else {
-		indeg = indeg[:n]
+	if scratch == nil {
+		scratch = make([]int, ValidateScratchLen(n))
 	}
+	// Structural pass. In-degree is only ever 0 or 1 on the accept path,
+	// so one bit per node suffices; the bitmap stays cache-resident
+	// where an int table would miss on every random Next target.
+	indeg := scratch[:(n+63)>>6]
+	clear(indeg)
+	tails := 0
 	for u, v := range l.Next {
 		switch {
 		case v == Nil:
@@ -129,29 +167,105 @@ func (l *List) ValidateInto(indeg []int) error {
 		case v == u:
 			return fmt.Errorf("list: self-loop at %d", u)
 		default:
-			indeg[v]++
-			if indeg[v] > 1 {
+			bit := 1 << uint(v&63)
+			if indeg[v>>6]&bit != 0 {
 				return fmt.Errorf("list: node %d has in-degree > 1", v)
 			}
+			indeg[v>>6] |= bit
 		}
 	}
 	if tails != 1 {
 		return fmt.Errorf("list: %d tails, want 1", tails)
 	}
-	if indeg[l.Head] != 0 {
+	if indeg[l.Head>>6]&(1<<uint(l.Head&63)) != 0 {
 		return fmt.Errorf("list: head %d has a predecessor", l.Head)
 	}
-	seen := 0
-	for v := l.Head; v != Nil; v = l.Next[v] {
-		seen++
-		if seen > n {
-			return errors.New("list: cycle reachable from head")
+	// Every in-degree is now ≤ 1 and the head's is 0, so a walk from the
+	// head never revisits a node: the head's component is a path ending
+	// at the tail, and no cycle can be reachable from it. Nodes off that
+	// path sit on cycles of their own, which only the count exposes.
+	var seen int
+	if n < LaneWalkMin {
+		for v := l.Head; v != Nil; v = l.Next[v] {
+			seen++
 		}
+	} else {
+		seen = l.laneReach(scratch)
 	}
 	if seen != n {
 		return fmt.Errorf("list: %d of %d nodes reachable from head", seen, n)
 	}
 	return nil
+}
+
+// laneReach counts the nodes on the head's path with a splitter walk.
+// Splitters are the nodes at multiples of a power-of-two stride plus
+// the head; they cut every path and every cycle that contains one into
+// sublists, each running from a splitter to just before the next
+// splitter (or Nil). One goroutine walks Lanes sublists in lockstep,
+// recording per splitter its sublist's length and the next splitter's
+// id in rec, and the head's count is then the sum of lengths along its
+// splitter chain. Cycles without a splitter are never entered: a walk
+// starts only at a splitter, and a path never leads into a cycle (the
+// joining node would have in-degree 2). The caller has checked the
+// structure, so the head has no predecessor and no walk reaches it.
+func (l *List) laneReach(rec []int) int {
+	next, head := l.Next, l.Head
+	n := len(next)
+	shift := splitShift(n)
+	mask := 1<<shift - 1
+	sm := (n-1)>>shift + 1 // splitters at multiples of the stride
+	s := sm
+	if head&mask != 0 {
+		s++ // the head is splitter sm
+	}
+	node := func(j int) int {
+		if j == sm {
+			return head
+		}
+		return j << shift
+	}
+
+	var cur, sub, cnt [Lanes]int
+	k, j := 0, 0 // active lanes; next splitter to start
+	for ; k < Lanes && j < s; k, j = k+1, j+1 {
+		cur[k], sub[k], cnt[k] = node(j), j, 1
+	}
+	for k > 0 {
+		for i := 0; i < k; {
+			v := next[cur[i]]
+			if v&mask != 0 && v != Nil {
+				cur[i] = v
+				cnt[i]++
+				i++
+				continue
+			}
+			// The sublist ends before splitter v (or at the tail).
+			r := 2 * sub[i]
+			rec[r] = cnt[i]
+			rec[r+1] = -1
+			if v != Nil {
+				rec[r+1] = v >> shift
+			}
+			if j < s {
+				cur[i], sub[i], cnt[i] = node(j), j, 1
+				j++
+				i++
+			} else {
+				k--
+				cur[i], sub[i], cnt[i] = cur[k], sub[k], cnt[k]
+			}
+		}
+	}
+
+	seen, j := 0, sm
+	if head&mask == 0 {
+		j = head >> shift
+	}
+	for ; j != -1; j = rec[2*j+1] {
+		seen += rec[2*j]
+	}
+	return seen
 }
 
 // PointerCount returns the number of real pointers, n-1.

@@ -114,11 +114,12 @@ func Whole() Plan {
 // Sharded compiles the K-shard contract/exchange/solve/expand pipeline:
 // K LocalContract steps, one BoundaryExchange depending on all of them,
 // one ReducedSolve depending on the exchange, and K LocalExpand steps
-// depending on the solve — 2K+2 steps total. K must be ≥ 2 (a 1-shard
-// request is Whole).
+// depending on the solve — 2K+2 steps total. K must be ≥ 1; at K = 1
+// the plan runs the shard kernels on the whole list, which isolates
+// the cost of sharding from the cost of the kernels.
 func Sharded(k int) Plan {
-	if k < 2 {
-		panic(fmt.Sprintf("plan: Sharded(%d); 1-shard requests compile to Whole", k))
+	if k < 1 {
+		panic(fmt.Sprintf("plan: Sharded(%d); want at least one shard", k))
 	}
 	p := Plan{K: k, Steps: make([]Step, 0, 2*k+2)}
 	for s := 0; s < k; s++ {

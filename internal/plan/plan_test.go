@@ -19,7 +19,7 @@ func TestWholeShape(t *testing.T) {
 }
 
 func TestShardedShape(t *testing.T) {
-	for _, k := range []int{2, 3, 8} {
+	for _, k := range []int{1, 2, 3, 8} {
 		p := Sharded(k)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
@@ -43,13 +43,13 @@ func TestShardedShape(t *testing.T) {
 	}
 }
 
-func TestShardedPanicsBelowTwo(t *testing.T) {
+func TestShardedPanicsBelowOne(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Sharded(1) did not panic")
+			t.Fatal("Sharded(0) did not panic")
 		}
 	}()
-	Sharded(1)
+	Sharded(0)
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
