@@ -47,17 +47,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parlist/internal/chaos"
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/matching"
 	"parlist/internal/obs"
 	"parlist/internal/pram"
@@ -341,30 +340,25 @@ func run(args []string, stdout *os.File) error {
 			pool.Close()
 			return fmt.Errorf("pool warm-up: %w", err)
 		}
-		var mu sync.Mutex
-		var lats []time.Duration
+		var lat obs.Histogram
+		var doErr load.FirstError
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
-				local := make([]time.Duration, 0, 64)
 				for pb.Next() {
 					t0 := time.Now()
 					if _, err := pool.Do(ctx, preq); err != nil {
-						runErr = fmt.Errorf("pool-throughput: %w", err)
+						doErr.Set(fmt.Errorf("pool-throughput: %w", err))
 						return
 					}
-					local = append(local, time.Since(t0))
+					lat.Observe(int64(time.Since(t0)))
 				}
-				mu.Lock()
-				lats = append(lats, local...)
-				mu.Unlock()
 			})
 		})
 		pool.Close()
-		if runErr != nil {
-			return runErr
+		if err := doErr.Err(); err != nil {
+			return err
 		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		e := Entry{
 			Name:        fmt.Sprintf("pool-throughput/pool_engines=%d", ne),
 			N:           nEng,
@@ -375,13 +369,12 @@ func run(args []string, stdout *os.File) error {
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
 		e.RequestsPerSec = 1e9 / e.NsPerOp
-		if len(lats) > 0 {
-			e.P99Ns = float64(lats[int(0.99*float64(len(lats)-1))].Nanoseconds())
-		}
+		var lats, qw, svc obs.HistSnapshot
+		lat.Snapshot(&lats)
+		e.P99Ns = float64(lats.Quantile(0.99))
 		// Split the end-to-end latency with the collector's histograms:
 		// queue wait from the pool's dequeue hook, service time from the
 		// engine's request hook.
-		var qw, svc obs.HistSnapshot
 		collector.QueueWait().Snapshot(&qw)
 		collector.RequestLatency("matching").Snapshot(&svc)
 		if qw.Count > 0 {
@@ -584,7 +577,8 @@ func run(args []string, stdout *os.File) error {
 // listener on loopback, one pipelined client submitting rank requests
 // flat-out, graceful drain. With traced set, the server head-samples
 // every request into a tail-sampling span recorder wired through the
-// pool's collector — the full production tracing path.
+// pool's collector — the full production tracing path. Any non-OK
+// response, sheds included, fails the row.
 func wirePath(l *list.List, batch, requests int, traced bool, name string) (Entry, error) {
 	var rec *obs.SpanRecorder
 	poolCfg := engine.PoolConfig{
@@ -598,82 +592,44 @@ func wirePath(l *list.List, batch, requests int, traced bool, name string) (Entr
 		c.AttachSpans(rec)
 		poolCfg.Observer = c
 	}
-	pool := engine.NewPool(poolCfg)
-	srv, err := server.New(server.Config{Pool: pool, BatchSize: batch,
-		MaxWait: 500 * time.Microsecond, Trace: rec, TraceSample: 1})
+	c, drain, err := load.Loopback(poolCfg, server.Config{BatchSize: batch,
+		MaxWait: 500 * time.Microsecond, Trace: rec, TraceSample: 1}, "benchjson")
 	if err != nil {
 		return Entry{}, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Shutdown(context.Background())
-		return Entry{}, err
-	}
-	go srv.ServeBinary(ln)
-	drain := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
-	c, err := server.Dial(ln.Addr().String(), "benchjson")
-	if err != nil {
-		drain()
-		return Entry{}, err
-	}
-	defer c.Close()
-
-	var mu sync.Mutex
-	var lats []time.Duration
-	var served, batchedSum int
-	var firstErr error
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < requests; i++ {
-		t0 := time.Now()
+	var batched atomic.Int64
+	r := load.Open(0, requests, func(i int) (func() error, error) {
 		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
 		if err != nil {
-			drain()
-			return Entry{}, fmt.Errorf("submit %d: %w", i, err)
+			return nil, fmt.Errorf("submit %d: %w", i, err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, ok := <-ch
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case !ok:
-				firstErr = errors.New("connection failed")
-			case r.Status != server.StatusOK:
-				firstErr = &server.StatusError{Code: r.Status, Message: r.Message}
-			default:
-				served++
-				batchedSum += r.Batched
-				lats = append(lats, time.Since(t0))
+		return func() error {
+			resp, err := load.Response(ch)
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+			batched.Add(int64(resp.Batched))
+			return nil
+		}, nil
+	})
 	if err := drain(); err != nil {
 		return Entry{}, err
 	}
-	if firstErr != nil {
-		return Entry{}, firstErr
+	if r.Err != nil {
+		return Entry{}, r.Err
 	}
-	if served == 0 {
+	if r.Served == 0 {
 		return Entry{}, errors.New("no requests served")
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	e := Entry{
 		Name:           name,
 		N:              l.Len(),
 		P:              256,
-		Iters:          served,
-		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(served),
-		RequestsPerSec: float64(served) / elapsed.Seconds(),
-		P99Ns:          float64(lats[int(0.99*float64(len(lats)-1))].Nanoseconds()),
-		MeanBatch:      float64(batchedSum) / float64(served),
+		Iters:          r.Served,
+		NsPerOp:        float64(r.Elapsed.Nanoseconds()) / float64(r.Served),
+		RequestsPerSec: r.Rate(),
+		P99Ns:          float64(r.Quantile(0.99).Nanoseconds()),
+		MeanBatch:      float64(batched.Load()) / float64(r.Served),
 	}
 	if rec != nil {
 		e.KeptTraces = rec.Stats().Kept

@@ -59,21 +59,23 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"parlist/internal/chaos"
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/server"
@@ -114,16 +116,7 @@ func parseInts(s, flagName string) ([]int, error) {
 	return out, nil
 }
 
-// percentile returns the q-quantile (0 ≤ q ≤ 1) of sorted durations.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	nFlag := fs.String("n", "4096", "list size(s), comma-separated; requests cycle through them")
 	p := fs.Int("p", 256, "simulated PRAM processors")
@@ -148,7 +141,15 @@ func run(args []string, out *os.File) error {
 		return usageError{err}
 	}
 	if *chaosMode {
-		return runChaos(out, *enginesN, *seed, *faultRate, *smoke)
+		// The soak runs seed 42 unless -seed is given explicitly, so
+		// -seed 1 is honoured even though it is the flag's default.
+		chaosSeed := int64(42)
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" {
+				chaosSeed = *seed
+			}
+		})
+		return runChaos(out, *enginesN, chaosSeed, *faultRate, *smoke)
 	}
 	if *smoke {
 		*nFlag, *concFlag = "1024,300", "1,2"
@@ -355,7 +356,7 @@ func (t *tracer) slowCheck(tc obs.TraceContext, dur time.Duration) {
 
 // assertTraces fetches a /debug/traces endpoint and fails unless at
 // least one sampled trace (a root span and its children) came back.
-func assertTraces(out *os.File, url string) error {
+func assertTraces(out io.Writer, url string) error {
 	resp, err := http.Get(url)
 	if err != nil {
 		return fmt.Errorf("smoke: fetch %s: %w", url, err)
@@ -393,7 +394,7 @@ func assertTraces(out *os.File, url string) error {
 // loop when qps > 0, otherwise the closed-loop -conc sweep. -smoke
 // shrinks it to CI size. All requests are rank requests (results are
 // length-checked), pipelined on one connection.
-func wireMode(out *os.File, addr, debugAddr string, lists []*list.List, requests int, qps float64, concs []int, smoke bool, tr *tracer) error {
+func wireMode(out io.Writer, addr, debugAddr string, lists []*list.List, requests int, qps float64, concs []int, smoke bool, tr *tracer) error {
 	if smoke {
 		requests = 40
 		if qps == 0 {
@@ -428,133 +429,77 @@ func wireMode(out *os.File, addr, debugAddr string, lists []*list.List, requests
 // wireOpenLoop paces Submit frames at the target rate and collects
 // responses as they arrive; daemon sheds (queue-full, over-limit) are
 // drops, anything else non-OK fails the run.
-func wireOpenLoop(out *os.File, c *server.Client, lists []*list.List, requests int, qps float64, tr *tracer) error {
-	interval := time.Duration(float64(time.Second) / qps)
-	var mu sync.Mutex
-	var lat []time.Duration
-	var batchedSum, served, drops, failed int
-	var wg sync.WaitGroup
-	start := time.Now()
-	next := start
-	for i := 0; i < requests; i++ {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		next = next.Add(interval)
+func wireOpenLoop(out io.Writer, c *server.Client, lists []*list.List, requests int, qps float64, tr *tracer) error {
+	var batched atomic.Int64
+	r := load.Open(qps, requests, func(i int) (func() error, error) {
 		l := lists[i%len(lists)]
 		t0 := time.Now()
 		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
 		if err != nil {
-			return fmt.Errorf("submit: %w", err)
+			return nil, fmt.Errorf("submit: %w", err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, ok := <-ch
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case !ok:
-				failed++
-			case r.Status == server.StatusOK:
-				if len(r.Result.Ranks) != l.Len() {
-					failed++
-					return
-				}
-				served++
-				batchedSum += r.Batched
-				tr.slowCheck(r.Trace, time.Since(t0))
-				lat = append(lat, time.Since(t0))
-			case r.Status == server.StatusShed || r.Status == server.StatusOverLimit:
-				drops++
-			default:
-				failed++
+		return func() error {
+			resp, err := load.Response(ch)
+			if err != nil {
+				return load.CountShed(err)
 			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if failed > 0 {
-		return fmt.Errorf("wire: %d of %d requests failed", failed, requests)
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	meanBatch := 0.0
-	if served > 0 {
-		meanBatch = float64(batchedSum) / float64(served)
+			if len(resp.Result.Ranks) != l.Len() {
+				return fmt.Errorf("short result: %d ranks for n=%d", len(resp.Result.Ranks), l.Len())
+			}
+			tr.slowCheck(resp.Trace, time.Since(t0))
+			batched.Add(int64(resp.Batched))
+			return nil
+		}, nil
+	})
+	if r.Failed > 0 {
+		return fmt.Errorf("wire: %d of %d requests failed: %w", r.Failed, requests, r.Err)
 	}
 	fmt.Fprintf(out, "wire qps-target=%.0f offered=%d served=%d shed=%d achieved=%.1f/s mean-batch=%.2f p50=%v p99=%v\n",
-		qps, requests, served, drops,
-		float64(served)/elapsed.Seconds(), meanBatch,
-		percentile(lat, 0.50), percentile(lat, 0.99))
+		qps, requests, r.Served, r.Shed, r.Rate(), meanBatch(batched.Load(), r.Served),
+		r.Quantile(0.50), r.Quantile(0.99))
 	return nil
 }
 
 // wireClosedLoop runs conc workers issuing Do back-to-back over the
 // shared pipelined connection and prints one sweep row.
-func wireClosedLoop(out *os.File, c *server.Client, lists []*list.List, conc, requests int, tr *tracer) error {
-	ctx := context.Background()
-	per := requests / conc
-	if per < 1 {
-		per = 1
-	}
-	total := per * conc
-	lat := make([][]time.Duration, conc)
-	batched := make([]int, conc)
-	errs := make([]error, conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat[w] = make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				l := lists[(w*per+i)%len(lists)]
-				t0 := time.Now()
-				r, err := c.Do(ctx, engine.Request{Op: engine.OpRank, List: l})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if len(r.Result.Ranks) != l.Len() {
-					errs[w] = fmt.Errorf("short result: %d ranks for n=%d", len(r.Result.Ranks), l.Len())
-					return
-				}
-				tr.slowCheck(r.Trace, time.Since(t0))
-				lat[w] = append(lat[w], time.Since(t0))
-				batched[w] += r.Batched
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+func wireClosedLoop(out io.Writer, c *server.Client, lists []*list.List, conc, requests int, tr *tracer) error {
+	var batched atomic.Int64
+	r := load.Closed(conc, requests, func(i int) error {
+		l := lists[i%len(lists)]
+		t0 := time.Now()
+		resp, err := c.Do(context.Background(), engine.Request{Op: engine.OpRank, List: l})
 		if err != nil {
 			return err
 		}
+		if len(resp.Result.Ranks) != l.Len() {
+			return fmt.Errorf("short result: %d ranks for n=%d", len(resp.Result.Ranks), l.Len())
+		}
+		tr.slowCheck(resp.Trace, time.Since(t0))
+		batched.Add(int64(resp.Batched))
+		return nil
+	})
+	if r.Err != nil {
+		return r.Err
 	}
-	var all []time.Duration
-	batchedSum := 0
-	for w := range lat {
-		all = append(all, lat[w]...)
-		batchedSum += batched[w]
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	fmt.Fprintf(out, "wire conc=%-3d requests=%-5d req/s=%-9.1f mean-batch=%-6.2f p50=%-10v p99=%v\n",
-		conc, total, float64(total)/elapsed.Seconds(),
-		float64(batchedSum)/float64(len(all)),
-		percentile(all, 0.50), percentile(all, 0.99))
+		conc, r.Served, r.Rate(), meanBatch(batched.Load(), r.Served),
+		r.Quantile(0.50), r.Quantile(0.99))
 	return nil
+}
+
+// meanBatch returns the mean fused batch size over served requests.
+func meanBatch(batched int64, served int) float64 {
+	if served == 0 {
+		return 0
+	}
+	return float64(batched) / float64(served)
 }
 
 // runChaos hands the run to the chaos soak harness and renders its
 // report. -smoke scales the soak to CI size (it still injects faults,
 // kills and deadline pressure — only the request count shrinks).
-func runChaos(out *os.File, engines int, seed int64, faultRate float64, smoke bool) error {
+func runChaos(out io.Writer, engines int, seed int64, faultRate float64, smoke bool) error {
 	cfg := chaos.Config{Engines: engines, Seed: seed, FaultRate: faultRate}
-	if cfg.Seed == 1 {
-		cfg.Seed = 42
-	}
 	if smoke {
 		cfg.Requests = 500
 		cfg.KillEvery = 100
@@ -607,61 +552,36 @@ func doMetrics(ctx context.Context, pool *engine.EnginePool, l *list.List, tr *t
 	}
 }
 
+// quantiles returns h's p50 and p99, with the driver's definition.
+func quantiles(h *obs.Histogram) (p50, p99 time.Duration) {
+	var s obs.HistSnapshot
+	h.Snapshot(&s)
+	return time.Duration(s.Quantile(0.50)), time.Duration(s.Quantile(0.99))
+}
+
 // closedLoop runs conc workers issuing requests back-to-back and prints
 // one sweep row with queue-wait and service-time percentiles broken out
 // (a fast engine behind a deep queue and a slow engine behind an empty
 // one have the same total latency; the split tells them apart).
-func closedLoop(out *os.File, pool *engine.EnginePool, lists []*list.List, conc, requests int, tr *tracer) error {
-	ctx := context.Background()
-	per := requests / conc
-	if per < 1 {
-		per = 1
-	}
-	total := per * conc
-	type sample struct{ wait, service time.Duration }
-	samples := make([][]sample, conc)
-	errs := make([]error, conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			samples[w] = make([]sample, 0, per)
-			for i := 0; i < per; i++ {
-				l := lists[(w*per+i)%len(lists)]
-				m, err := doMetrics(ctx, pool, l, tr)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				samples[w] = append(samples[w], sample{m.QueueWait, m.Service})
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+func closedLoop(out io.Writer, pool *engine.EnginePool, lists []*list.List, conc, requests int, tr *tracer) error {
+	var wait, svc obs.Histogram
+	r := load.Closed(conc, requests, func(i int) error {
+		m, err := doMetrics(context.Background(), pool, lists[i%len(lists)], tr)
 		if err != nil {
 			return err
 		}
+		wait.Observe(int64(m.QueueWait))
+		svc.Observe(int64(m.Service))
+		return nil
+	})
+	if r.Err != nil {
+		return r.Err
 	}
-	var lat, wait, svc []time.Duration
-	for _, ws := range samples {
-		for _, s := range ws {
-			lat = append(lat, s.wait+s.service)
-			wait = append(wait, s.wait)
-			svc = append(svc, s.service)
-		}
-	}
-	for _, sl := range [][]time.Duration{lat, wait, svc} {
-		sort.Slice(sl, func(i, j int) bool { return sl[i] < sl[j] })
-	}
+	waitP50, waitP99 := quantiles(&wait)
+	svcP50, svcP99 := quantiles(&svc)
 	fmt.Fprintf(out, "conc=%-3d requests=%-5d req/s=%-9.1f p50=%-10v p99=%-10v queue-wait p50=%-10v p99=%-10v service p50=%-10v p99=%v\n",
-		conc, total, float64(total)/elapsed.Seconds(),
-		percentile(lat, 0.50), percentile(lat, 0.99),
-		percentile(wait, 0.50), percentile(wait, 0.99),
-		percentile(svc, 0.50), percentile(svc, 0.99))
+		conc, r.Served, r.Rate(), r.Quantile(0.50), r.Quantile(0.99),
+		waitP50, waitP99, svcP50, svcP99)
 	return nil
 }
 
@@ -670,109 +590,62 @@ func closedLoop(out *os.File, pool *engine.EnginePool, lists []*list.List, conc,
 // row adds the sharded plan's data-movement accounting — per-request
 // exchange volume and the mean contract-stage imbalance — next to the
 // usual latency percentiles.
-func closedLoopSharded(out *os.File, pool *engine.EnginePool, lists []*list.List, conc, requests, shards int, tr *tracer) error {
-	ctx := context.Background()
-	per := requests / conc
-	if per < 1 {
-		per = 1
-	}
-	total := per * conc
-	lat := make([][]time.Duration, conc)
-	errs := make([]error, conc)
+func closedLoopSharded(out io.Writer, pool *engine.EnginePool, lists []*list.List, conc, requests, shards int, tr *tracer) error {
 	var mu sync.Mutex
 	var exchange int64
 	var imbalance float64
 	var retries int
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat[w] = make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				l := lists[(w*per+i)%len(lists)]
-				tc := tr.mint()
-				t0 := time.Now()
-				res, err := pool.ShardedDo(ctx, engine.Request{Op: engine.OpRank, List: l, Trace: tc}, shards)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if len(res.Ranks) != l.Len() {
-					errs[w] = fmt.Errorf("short result: %d ranks for n=%d", len(res.Ranks), l.Len())
-					return
-				}
-				tr.slowCheck(tc, time.Since(t0))
-				lat[w] = append(lat[w], time.Since(t0))
-				mu.Lock()
-				exchange += res.Sharding.ExchangeBytes
-				imbalance += res.Sharding.Imbalance
-				retries += res.Sharding.StepRetries
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
+	r := load.Closed(conc, requests, func(i int) error {
+		l := lists[i%len(lists)]
+		tc := tr.mint()
+		t0 := time.Now()
+		res, err := pool.ShardedDo(context.Background(), engine.Request{Op: engine.OpRank, List: l, Trace: tc}, shards)
 		if err != nil {
 			return err
 		}
+		if len(res.Ranks) != l.Len() {
+			return fmt.Errorf("short result: %d ranks for n=%d", len(res.Ranks), l.Len())
+		}
+		tr.slowCheck(tc, time.Since(t0))
+		mu.Lock()
+		exchange += res.Sharding.ExchangeBytes
+		imbalance += res.Sharding.Imbalance
+		retries += res.Sharding.StepRetries
+		mu.Unlock()
+		return nil
+	})
+	if r.Err != nil {
+		return r.Err
 	}
-	var all []time.Duration
-	for _, ws := range lat {
-		all = append(all, ws...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	fmt.Fprintf(out, "conc=%-3d requests=%-5d shards=%-2d req/s=%-9.1f p50=%-10v p99=%-10v exchange/req=%-8d B imbalance=%.3f step-retries=%d\n",
-		conc, total, shards, float64(total)/elapsed.Seconds(),
-		percentile(all, 0.50), percentile(all, 0.99),
-		exchange/int64(len(all)), imbalance/float64(len(all)), retries)
+		conc, r.Served, shards, r.Rate(), r.Quantile(0.50), r.Quantile(0.99),
+		exchange/int64(r.Served), imbalance/float64(r.Served), retries)
 	return nil
 }
 
 // openLoop paces Submit at the target rate; overload surfaces as
 // ErrQueueFull drops rather than queueing delay.
-func openLoop(out *os.File, pool *engine.EnginePool, lists []*list.List, requests int, qps float64, tr *tracer) error {
+func openLoop(out io.Writer, pool *engine.EnginePool, lists []*list.List, requests int, qps float64, tr *tracer) error {
 	ctx := context.Background()
-	interval := time.Duration(float64(time.Second) / qps)
-	futures := make([]*engine.Future, 0, requests)
-	traces := make([]obs.TraceContext, 0, requests)
-	drops := 0
-	start := time.Now()
-	next := start
-	for i := 0; i < requests; i++ {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		next = next.Add(interval)
+	r := load.Open(qps, requests, func(i int) (func() error, error) {
 		tc := tr.mint()
 		f, err := pool.Submit(ctx, engine.Request{List: lists[i%len(lists)], Trace: tc})
-		switch {
-		case errors.Is(err, engine.ErrQueueFull):
-			drops++
-		case err != nil:
-			return err
-		default:
-			futures = append(futures, f)
-			traces = append(traces, tc)
+		if err != nil {
+			return nil, load.CountShed(err)
 		}
+		return func() error {
+			if _, err := f.Wait(ctx); err != nil {
+				return err
+			}
+			m := f.Metrics()
+			tr.slowCheck(tc, m.QueueWait+m.Service)
+			return nil
+		}, nil
+	})
+	if r.Err != nil {
+		return r.Err
 	}
-	lat := make([]time.Duration, 0, len(futures))
-	for i, f := range futures {
-		if _, err := f.Wait(ctx); err != nil {
-			return err
-		}
-		m := f.Metrics()
-		tr.slowCheck(traces[i], m.QueueWait+m.Service)
-		lat = append(lat, m.QueueWait+m.Service)
-	}
-	elapsed := time.Since(start)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	fmt.Fprintf(out, "qps-target=%.0f offered=%d served=%d dropped=%d achieved=%.1f/s p50=%v p99=%v\n",
-		qps, requests, len(futures), drops,
-		float64(len(futures))/elapsed.Seconds(),
-		percentile(lat, 0.50), percentile(lat, 0.99))
+		qps, requests, r.Served, r.Shed, r.Rate(), r.Quantile(0.50), r.Quantile(0.99))
 	return nil
 }

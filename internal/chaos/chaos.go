@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,6 +33,7 @@ import (
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/pram"
 	"parlist/internal/verify"
 )
@@ -63,7 +63,7 @@ type Config struct {
 	// enough that some survive).
 	Deadline time.Duration
 	// KillEvery fires one random engine kill per this many completed
-	// requests (default 250; 0 disables kills).
+	// requests (default 250 when 0; negative disables kills).
 	KillEvery int
 	// Sizes is the list-size mix (default 2048, 300, 1024).
 	Sizes []int
@@ -113,7 +113,8 @@ type Report struct {
 	LeakedGoroutines int
 	// Elapsed is the soak wall time; P50 and P99 are end-to-end
 	// latency quantiles over every admitted request (admission through
-	// resolution, retries and backoff included).
+	// resolution and audit, retries and backoff included), from the
+	// load driver's histogram (at most 6.25% above the exact value).
 	Elapsed time.Duration
 	P50     time.Duration
 	P99     time.Duration
@@ -286,19 +287,11 @@ func Soak(cfg Config) (*Report, error) {
 	})
 
 	var (
-		mu        sync.Mutex
-		lats      []time.Duration
+		mu        sync.Mutex // guards rep's audit counters and Violations
 		completed atomic.Int64
 		stopKill  = make(chan struct{})
 		killWG    sync.WaitGroup
 	)
-	violation := func(format string, args ...any) {
-		mu.Lock()
-		if len(rep.Violations) < 20 { // keep reports readable
-			rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
-		}
-		mu.Unlock()
-	}
 
 	// Killer: invalidate a random engine's warm machine on a cadence
 	// tied to completed work, so kill pressure scales with throughput
@@ -326,49 +319,26 @@ func Soak(cfg Config) (*Report, error) {
 		}()
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	per := (cfg.Requests + cfg.Workers - 1) / cfg.Workers
-	for w := 0; w < cfg.Workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > cfg.Requests {
-			hi = cfg.Requests
+	run := load.Closed(cfg.Workers, cfg.Requests, func(i int) error {
+		defer completed.Add(1)
+		sh := cfg.plan(i, lists, engCfg.Workers)
+		f := admit(pool, sh.req)
+		if f == nil {
+			return load.ErrShed
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				sh := cfg.plan(i, lists, engCfg.Workers)
-				t0 := time.Now()
-				f := admit(pool, sh.req, rep, &mu)
-				if f == nil {
-					completed.Add(1)
-					continue
-				}
-				waitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				res, err := f.Wait(waitCtx)
-				cancel()
-				lat := time.Since(t0)
-				audit(sh, f, res, err, refs, rep, &mu, violation)
-				mu.Lock()
-				lats = append(lats, lat)
-				mu.Unlock()
-				completed.Add(1)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		waitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		res, err := f.Wait(waitCtx)
+		cancel()
+		mu.Lock()
+		audit(sh, f, res, err, refs, rep)
+		mu.Unlock()
+		return nil
+	})
 	close(stopKill)
 	killWG.Wait()
-	rep.Elapsed = time.Since(start)
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		rep.P50 = lats[len(lats)/2]
-		rep.P99 = lats[int(0.99*float64(len(lats)-1))]
-	}
+	rep.Admitted, rep.Shed = int64(run.Served), int64(run.Shed)
+	rep.Elapsed = run.Elapsed
+	rep.P50, rep.P99 = run.Quantile(0.50), run.Quantile(0.99)
 
 	st := pool.Stats()
 	rep.Retries = st.Retries
@@ -377,7 +347,7 @@ func Soak(cfg Config) (*Report, error) {
 		rep.Trips += pe.Trips
 	}
 	if err := pool.Close(); err != nil {
-		violation("pool.Close: %v", err)
+		rep.violate("pool.Close: %v", err)
 	}
 
 	// Leak check: dispatchers, retry, quarantine and machine workers
@@ -388,63 +358,63 @@ func Soak(cfg Config) (*Report, error) {
 	}
 	if now := runtime.NumGoroutine(); now > baseline {
 		rep.LeakedGoroutines = now - baseline
-		violation("%d goroutine(s) leaked past Close (%d → %d)", now-baseline, baseline, now)
+		rep.violate("%d goroutine(s) leaked past Close (%d → %d)", now-baseline, baseline, now)
 	}
 	return rep, rep.Err()
 }
 
 // admit submits one request, retrying ErrQueueFull briefly (closed-loop
-// backpressure); a request still shed after the budget is counted, not
+// backpressure); a request still refused after the budget is shed, not
 // failed. Returns nil when the request was shed.
-func admit(pool *engine.EnginePool, req engine.Request, rep *Report, mu *sync.Mutex) *engine.Future {
+func admit(pool *engine.EnginePool, req engine.Request) *engine.Future {
 	for attempt := 0; ; attempt++ {
 		f, err := pool.Submit(context.Background(), req)
 		if err == nil {
-			mu.Lock()
-			rep.Admitted++
-			mu.Unlock()
 			return f
 		}
 		if !errors.Is(err, engine.ErrQueueFull) || attempt >= 200 {
-			mu.Lock()
-			rep.Shed++
-			mu.Unlock()
 			return nil
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
 }
 
-// audit classifies one resolved future against the contract.
+// violate records one broken invariant. Callers hold the soak's mutex
+// while workers run.
+func (r *Report) violate(format string, args ...any) {
+	if len(r.Violations) < 20 { // keep reports readable
+		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+	}
+}
+
+// audit classifies one resolved future against the contract. The
+// caller holds the mutex guarding rep.
 func audit(sh shot, f *engine.Future, res *engine.Result, err error,
-	refs map[refKey]*engine.Result, rep *Report, mu *sync.Mutex,
-	violation func(string, ...any)) {
-	mu.Lock()
-	defer mu.Unlock()
+	refs map[refKey]*engine.Result, rep *Report) {
 	switch {
 	case err == nil:
 		rep.Succeeded++
 		want := refs[refKey{sh.req.Op, sh.size}]
 		if !reflect.DeepEqual(res, want) || verifyResult(sh.req, res) != nil {
 			rep.Mismatches++
-			violation("request op=%v size=%d retries=%d: result diverges from fault-free reference",
+			rep.violate("request op=%v size=%d retries=%d: result diverges from fault-free reference",
 				sh.req.Op, sh.size, f.Metrics().Retries)
 		}
 	case errors.Is(err, context.DeadlineExceeded):
 		// Only the audit's own 30s wait guard produces this.
 		rep.Lost++
-		violation("future never resolved (op=%v size=%d)", sh.req.Op, sh.size)
+		rep.violate("future never resolved (op=%v size=%d)", sh.req.Op, sh.size)
 	case errors.Is(err, engine.ErrDeadlineExceeded):
 		rep.DeadlineFailures++
 		if sh.req.Deadline == 0 {
 			rep.Unexpected++
-			violation("deadline error on a request with no deadline: %v", err)
+			rep.violate("deadline error on a request with no deadline: %v", err)
 		}
 	case pram.Transient(err):
 		rep.TransientFailures++
 	default:
 		rep.Unexpected++
-		violation("error outside the taxonomy: %v", err)
+		rep.violate("error outside the taxonomy: %v", err)
 	}
 }
 

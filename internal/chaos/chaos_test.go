@@ -1,8 +1,12 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"parlist/internal/engine"
+	"parlist/internal/list"
 )
 
 // TestSoak is the acceptance soak: thousands of requests at a 20%
@@ -79,5 +83,37 @@ func TestSoakNoFaults(t *testing.T) {
 	}
 	if rep.Retries != 0 || rep.Kills != 0 {
 		t.Errorf("clean soak scheduled retries=%d kills=%d; want 0/0", rep.Retries, rep.Kills)
+	}
+}
+
+// TestAuditRecordsMismatch feeds the audit a success that differs from
+// its reference: the audit must count and report the violation while
+// the caller holds the soak's mutex, not block on it.
+func TestAuditRecordsMismatch(t *testing.T) {
+	pool := engine.NewPool(engine.PoolConfig{Engines: 1, Engine: engine.Config{Processors: 64}})
+	defer pool.Close()
+	req := engine.Request{Op: engine.OpRank, List: list.RandomList(300, 1)}
+	f, err := pool.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &Report{}
+	wrong := map[refKey]*engine.Result{{engine.OpRank, 0}: {}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		audit(shot{req: req}, f, res, nil, wrong, rep)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("audit blocked while recording a violation")
+	}
+	if rep.Succeeded != 1 || rep.Mismatches != 1 || rep.Err() == nil {
+		t.Errorf("succeeded=%d mismatches=%d err=%v; want 1/1/violation", rep.Succeeded, rep.Mismatches, rep.Err())
 	}
 }

@@ -1,16 +1,15 @@
 package harness
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"net"
 	"runtime"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/pram"
 	"parlist/internal/server"
 )
@@ -83,94 +82,25 @@ func runE21(cfg Config) ([]*Table, error) {
 // e21Cell runs one configuration end to end: fresh pool, fresh server,
 // real listener, open-loop client, graceful drain.
 func e21Cell(cfg Config, l *list.List, batch int, maxWait time.Duration, qps float64, requests int) ([]string, error) {
-	pool := engine.NewPool(engine.PoolConfig{
+	c, drain, err := load.Loopback(engine.PoolConfig{
 		Engines:    2,
 		QueueDepth: 256,
 		Engine:     engine.Config{Processors: 256, Exec: cfg.exec(pram.Native)},
-	})
-	srv, err := server.New(server.Config{Pool: pool, BatchSize: batch, MaxWait: maxWait})
+	}, server.Config{BatchSize: batch, MaxWait: maxWait}, "E21")
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go srv.ServeBinary(ln)
-	drain := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
-
-	c, err := server.Dial(ln.Addr().String(), "E21")
-	if err != nil {
-		drain()
-		return nil, err
-	}
-	defer c.Close()
-
-	var mu sync.Mutex
-	var lat []time.Duration
-	var served, shed, failed, batchedSum int
-	var wg sync.WaitGroup
-	var interval time.Duration
-	if qps > 0 {
-		interval = time.Duration(float64(time.Second) / qps)
-	}
-	start := time.Now()
-	next := start
-	for i := 0; i < requests; i++ {
-		if interval > 0 {
-			// Sleep only when meaningfully ahead: on a 1-CPU host the
-			// timer granularity would otherwise under-offer the target.
-			if d := time.Until(next); d > 500*time.Microsecond {
-				time.Sleep(d)
-			}
-			next = next.Add(interval)
-		}
-		t0 := time.Now()
-		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
-		if err != nil {
-			drain()
-			return nil, fmt.Errorf("submit %d: %w", i, err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, ok := <-ch
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case !ok:
-				failed++
-			case r.Status == server.StatusOK:
-				if len(r.Result.Ranks) != l.Len() {
-					failed++
-					return
-				}
-				served++
-				batchedSum += r.Batched
-				lat = append(lat, time.Since(t0))
-			case r.Status == server.StatusShed || r.Status == server.StatusOverLimit:
-				shed++
-			default:
-				failed++
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	var batched atomic.Int64
+	r := load.Open(qps, requests, wireRanks(c, l, false, &batched))
 	if err := drain(); err != nil {
 		return nil, err
 	}
-	if failed > 0 {
-		return nil, fmt.Errorf("%d of %d requests failed", failed, requests)
+	if r.Failed > 0 {
+		return nil, fmt.Errorf("%d of %d requests failed: %w", r.Failed, requests, r.Err)
 	}
-	if served == 0 {
-		return nil, fmt.Errorf("no requests served (all %d shed)", shed)
+	if r.Served == 0 {
+		return nil, fmt.Errorf("no requests served (all %d shed)", r.Shed)
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	offered := "max"
 	if qps > 0 {
 		offered = fmt.Sprintf("%.0f", qps)
@@ -180,11 +110,38 @@ func e21Cell(cfg Config, l *list.List, batch int, maxWait time.Duration, qps flo
 		maxWait.String(),
 		offered,
 		fmt.Sprintf("%d", requests),
-		fmt.Sprintf("%d", served),
-		fmt.Sprintf("%d", shed),
-		fmt.Sprintf("%.0f", float64(served)/elapsed.Seconds()),
-		fmt.Sprintf("%.2f", float64(batchedSum)/float64(served)),
-		lat[len(lat)/2].Round(time.Microsecond).String(),
-		lat[len(lat)*99/100].Round(time.Microsecond).String(),
+		fmt.Sprintf("%d", r.Served),
+		fmt.Sprintf("%d", r.Shed),
+		fmt.Sprintf("%.0f", r.Rate()),
+		fmt.Sprintf("%.2f", float64(batched.Load())/float64(r.Served)),
+		r.Quantile(0.50).Round(time.Microsecond).String(),
+		r.Quantile(0.99).Round(time.Microsecond).String(),
 	}, nil
+}
+
+// wireRanks returns a load.Open issue function that submits rank
+// requests for l on c. A served response must carry every rank and,
+// when traced, a valid trace context; its fused batch size adds to
+// batched. Server sheds count as shed — whether that fails the run is
+// the caller's verdict.
+func wireRanks(c *server.Client, l *list.List, traced bool, batched *atomic.Int64) func(int) (func() error, error) {
+	return func(int) (func() error, error) {
+		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
+		if err != nil {
+			return nil, err
+		}
+		return func() error {
+			r, err := load.Response(ch)
+			switch {
+			case err != nil:
+				return load.CountShed(err)
+			case len(r.Result.Ranks) != l.Len():
+				return fmt.Errorf("short result: %d ranks for n=%d", len(r.Result.Ranks), l.Len())
+			case traced && !r.Trace.Valid():
+				return errors.New("traced request answered without a trace context")
+			}
+			batched.Add(int64(r.Batched))
+			return nil
+		}, nil
+	}
 }

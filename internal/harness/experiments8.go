@@ -1,16 +1,14 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"runtime"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"parlist/internal/engine"
 	"parlist/internal/list"
+	"parlist/internal/load"
 	"parlist/internal/obs"
 	"parlist/internal/pram"
 	"parlist/internal/server"
@@ -120,85 +118,27 @@ func e22Cell(cfg Config, l *list.List, requests int, traced bool, keep float64) 
 		c.AttachSpans(rec)
 		poolCfg.Observer = c
 	}
-	pool := engine.NewPool(poolCfg)
-	srv, err := server.New(server.Config{Pool: pool, BatchSize: 8,
-		MaxWait: 500 * time.Microsecond, Trace: rec, TraceSample: 1})
+	c, drain, err := load.Loopback(poolCfg, server.Config{BatchSize: 8,
+		MaxWait: 500 * time.Microsecond, Trace: rec, TraceSample: 1}, "E22")
 	if err != nil {
 		return nil, nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	go srv.ServeBinary(ln)
-	drain := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
-
-	c, err := server.Dial(ln.Addr().String(), "E22")
-	if err != nil {
-		drain()
-		return nil, nil, err
-	}
-	defer c.Close()
-
-	var mu sync.Mutex
-	var lat []time.Duration
-	var served, failed, batched int
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < requests; i++ {
-		t0 := time.Now()
-		ch, err := c.Submit(engine.Request{Op: engine.OpRank, List: l})
-		if err != nil {
-			drain()
-			return nil, nil, fmt.Errorf("submit %d: %w", i, err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, ok := <-ch
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case !ok:
-				failed++
-			case r.Status == server.StatusOK:
-				if len(r.Result.Ranks) != l.Len() {
-					failed++
-					return
-				}
-				if traced && !r.Trace.Valid() {
-					failed++
-					return
-				}
-				served++
-				batched += r.Batched
-				lat = append(lat, time.Since(t0))
-			default:
-				failed++
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	var batched atomic.Int64
+	r := load.Open(0, requests, wireRanks(c, l, traced, &batched))
 	if err := drain(); err != nil {
 		return nil, nil, err
 	}
-	if failed > 0 {
-		return nil, nil, fmt.Errorf("%d of %d requests failed", failed, requests)
+	if r.Err != nil {
+		return nil, nil, fmt.Errorf("%d of %d requests failed: %w", r.Failed, requests, r.Err)
 	}
-	if served == 0 {
-		return nil, nil, fmt.Errorf("no requests served")
+	if r.Shed > 0 {
+		return nil, nil, fmt.Errorf("%d of %d requests shed", r.Shed, requests)
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	return &e22Result{
-		served:   served,
-		achieved: float64(served) / elapsed.Seconds(),
-		nsPerOp:  float64(elapsed.Nanoseconds()) / float64(served),
-		p50:      lat[len(lat)/2],
-		p99:      lat[len(lat)*99/100],
+		served:   r.Served,
+		achieved: r.Rate(),
+		nsPerOp:  float64(r.Elapsed.Nanoseconds()) / float64(r.Served),
+		p50:      r.Quantile(0.50),
+		p99:      r.Quantile(0.99),
 	}, rec, nil
 }
