@@ -102,9 +102,10 @@ type Entry struct {
 	// Wire rows (wire-path/*): the achieved coalescing factor — served
 	// requests per fused machine run (1.0 on the per-request control).
 	MeanBatch float64 `json:"mean_batch,omitempty"`
-	// Tracing rows (wire-path/trace=on): traces tail-kept by the
-	// recorder during the run, and the ns/op cost relative to the
-	// trace=off control (the E22 / CI acceptance bound is ≤ 3%).
+	// Tracing rows (wire-path/trace=collector|on): traces tail-kept by
+	// the recorder during the run, and the ns/op cost relative to the
+	// row before it — collector over trace=off, spans over collector
+	// (the E22 / CI acceptance bound is ≤ 3%).
 	KeptTraces       int64   `json:"kept_traces,omitempty"`
 	TraceOverheadPct float64 `json:"trace_overhead_pct,omitempty"`
 }
@@ -453,7 +454,7 @@ func run(args []string, stdout *os.File) error {
 		}
 		lwire := list.RandomList(nWire, seed)
 		for _, bsz := range []int{1, 8} {
-			e, err := wirePath(lwire, bsz, reqWire, false, fmt.Sprintf("wire-path/batch=%d", bsz))
+			e, err := wirePath(lwire, bsz, reqWire, traceOff, fmt.Sprintf("wire-path/batch=%d", bsz))
 			if err != nil {
 				return fmt.Errorf("wire-path/batch=%d: %w", bsz, err)
 			}
@@ -462,24 +463,27 @@ func run(args []string, stdout *os.File) error {
 			rep.Benches = append(rep.Benches, e)
 		}
 
-		// Tracing overhead A/B at the coalescing batch size: the trace=on
-		// row head-samples every request, records the full span tree into
-		// the tail-sampling recorder, and must cost no more than 3% ns/op
-		// over the trace=off control (the E22 / CI acceptance bound; rows
-		// only record here).
-		off, err := wirePath(lwire, 8, reqWire, false, "wire-path/trace=off")
-		if err != nil {
-			return fmt.Errorf("wire-path/trace=off: %w", err)
-		}
-		on, err := wirePath(lwire, 8, reqWire, true, "wire-path/trace=on")
-		if err != nil {
-			return fmt.Errorf("wire-path/trace=on: %w", err)
-		}
-		on.TraceOverheadPct = 100 * (on.NsPerOp - off.NsPerOp) / off.NsPerOp
-		for _, e := range []Entry{off, on} {
+		// Tracing overhead at the coalescing batch size, one instrument
+		// per row: trace=collector attaches a collector to the pool,
+		// trace=on also head-samples every request and records the full
+		// span tree into the tail-sampling recorder. Each row's overhead
+		// is its ns/op over the row before it, so the collector and the
+		// spans are priced separately. Tracing must cost no more than 3%
+		// ns/op over the trace=off control (the E22 / CI acceptance
+		// bound; rows only record here).
+		var prev Entry
+		for level, name := range []string{"off", "collector", "on"} {
+			e, err := wirePath(lwire, 8, reqWire, level, "wire-path/trace="+name)
+			if err != nil {
+				return fmt.Errorf("wire-path/trace=%s: %w", name, err)
+			}
+			if level > traceOff {
+				e.TraceOverheadPct = 100 * (e.NsPerOp - prev.NsPerOp) / prev.NsPerOp
+			}
 			fmt.Fprintf(stdout, "%-40s %12.0f ns/op %21.0f req/s %10.0f p99-ns mean-batch=%.2f kept=%d overhead=%.1f%%\n",
 				e.Name, e.NsPerOp, e.RequestsPerSec, e.P99Ns, e.MeanBatch, e.KeptTraces, e.TraceOverheadPct)
 			rep.Benches = append(rep.Benches, e)
+			prev = e
 		}
 	}
 
@@ -575,21 +579,24 @@ func run(args []string, stdout *os.File) error {
 // wirePath drives one batch-size configuration of the serving core end
 // to end: fresh 2-engine pool with the native executor, binary-framing
 // listener on loopback, one pipelined client submitting rank requests
-// flat-out, graceful drain. With traced set, the server head-samples
-// every request into a tail-sampling span recorder wired through the
-// pool's collector — the full production tracing path. Any non-OK
-// response, sheds included, fails the row.
-func wirePath(l *list.List, batch, requests int, traced bool, name string) (Entry, error) {
+// flat-out, graceful drain. From traceCollector on, a collector
+// observes the pool; at traceOn the server also head-samples every
+// request into a tail-sampling span recorder wired through that
+// collector — the full production tracing path. Any non-OK response,
+// sheds included, fails the row.
+func wirePath(l *list.List, batch, requests, trace int, name string) (Entry, error) {
 	var rec *obs.SpanRecorder
 	poolCfg := engine.PoolConfig{
 		Engines:    2,
 		QueueDepth: 256,
 		Engine:     engine.Config{Processors: 256, Exec: pram.Native},
 	}
-	if traced {
-		rec = obs.NewSpanRecorder(obs.NewTraceSource(1), 0.1)
+	if trace >= traceCollector {
 		c := obs.NewCollector(obs.NewRegistry())
-		c.AttachSpans(rec)
+		if trace >= traceOn {
+			rec = obs.NewSpanRecorder(obs.NewTraceSource(1), 0.1)
+			c.AttachSpans(rec)
+		}
 		poolCfg.Observer = c
 	}
 	c, drain, err := load.Loopback(poolCfg, server.Config{BatchSize: batch,
@@ -636,6 +643,14 @@ func wirePath(l *list.List, batch, requests int, traced bool, name string) (Entr
 	}
 	return e, nil
 }
+
+// wirePath's instrument levels, each adding to the one before: no
+// observer, a collector on the pool, and the collector plus spans.
+const (
+	traceOff = iota
+	traceCollector
+	traceOn
+)
 
 // writeReport marshals and writes the report.
 func writeReport(stdout *os.File, path string, rep *Report) error {

@@ -79,7 +79,7 @@ func (p *EnginePool) SubmitBatch(ctx context.Context, items []*BatchItem) (*Futu
 	for i, it := range items {
 		f.steps[i] = step{Step: wholeStep, req: it.Req, res: &it.Res, item: it}
 	}
-	if err := p.submit(ctx, f); err != nil {
+	if err := p.shed(p.submit(ctx, f)); err != nil {
 		return nil, err
 	}
 	return f, nil

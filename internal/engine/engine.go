@@ -153,12 +153,11 @@ type Config struct {
 	// served (entries accumulate across requests).
 	Tracer *pram.Tracer
 	// Observer, when non-nil, receives one wall-clock observation per
-	// served request (latency, outcome, arena churn). A value that also
-	// implements pram.Observer is additionally attached to the machine,
-	// so per-round wall time, barrier waits and phase spans flow to the
-	// same sink. Detached (nil) observation costs nothing on the
-	// request path.
-	Observer EngineObserver
+	// served request (latency, outcome, arena churn) and is attached to
+	// the machine, so per-round wall time, barrier waits and phase spans
+	// flow to the same sink. Detached (nil) observation costs nothing on
+	// the request path. A pool sets it to PoolConfig.Observer.
+	Observer Observer
 }
 
 // Request describes one computation. The zero value of every field is a
@@ -219,10 +218,10 @@ type Request struct {
 	// untraced). It is observation-only: the computation, its Result
 	// and its simulated Stats are bit-identical with or without it, it
 	// never enters the result-cache key, and spans are emitted only
-	// when Trace.Sampled and the pool's observer implements
-	// SpanObserver. The serving daemon propagates it from the wire
-	// (X-Parlist-Trace / the binary frame's trace block); in-process
-	// callers mint one from an obs.TraceSource.
+	// when Trace.Sampled and the pool has an Observer. The serving
+	// daemon propagates it from the wire (X-Parlist-Trace / the binary
+	// frame's trace block); in-process callers mint one from an
+	// obs.TraceSource.
 	Trace obs.TraceContext
 
 	// deadlineAt is the absolute deadline the pool derives from
@@ -411,8 +410,8 @@ func (e *Engine) rebuild(p int) {
 	if e.cfg.Tracer != nil {
 		opts = append(opts, pram.WithTracer(e.cfg.Tracer))
 	}
-	if o, ok := e.cfg.Observer.(pram.Observer); ok {
-		opts = append(opts, pram.WithObserver(o))
+	if e.cfg.Observer != nil {
+		opts = append(opts, pram.WithObserver(e.cfg.Observer))
 	}
 	e.m = pram.New(p, opts...)
 	e.runner = nil // bound to the old machine

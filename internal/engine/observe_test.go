@@ -4,11 +4,13 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"parlist/internal/list"
 	"parlist/internal/obs"
+	"parlist/internal/pram"
 )
 
 // TestEngineObserverCollectsRequests wires a real obs.Collector into a
@@ -165,5 +167,91 @@ func TestPoolObserverQueueMetrics(t *testing.T) {
 	// queue slot opened, so assert ≥ 1 rather than an exact count.
 	if strings.Contains(text, "parlist_queue_shed_total 0") {
 		t.Error("shed was not observed")
+	}
+}
+
+// TestPoolDoBackpressureNotShed pins that backpressure is not shedding:
+// with the one engine busy and its one-slot queue contended, concurrent
+// Do calls wait in admit until they are served, and neither Rejected
+// nor parlist_queue_shed_total moves. Only an ErrQueueFull returned to
+// a caller counts (TestPoolQueueFullFastPath).
+func TestPoolDoBackpressureNotShed(t *testing.T) {
+	reg := obs.NewRegistry()
+	pool := NewPool(PoolConfig{Engines: 1, QueueDepth: 1,
+		Engine:   Config{Processors: 256},
+		Observer: obs.NewCollector(reg),
+	})
+	defer pool.Close()
+
+	slow, err := pool.Submit(bg, Request{List: list.RandomList(1<<17, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = pool.Do(bg, Request{List: list.RandomList(128, int64(2+i))})
+		}()
+	}
+	wg.Wait()
+	if _, err := slow.Wait(bg); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("Do %d: %v", i, err)
+		}
+	}
+	if st := pool.Stats(); st.Rejected != 0 || st.Requests != 4 {
+		t.Errorf("Rejected = %d, Requests = %d; want 0 and 4", st.Rejected, st.Requests)
+	}
+	if shed := reg.Counter("parlist_queue_shed_total", "").Value(); shed != 0 {
+		t.Errorf("parlist_queue_shed_total = %d, want 0", shed)
+	}
+}
+
+// TestObservedSteadyStateZeroAlloc extends the steady-state guarantee
+// to the production wiring, where parlistd always attaches a collector
+// with a span recorder: unsampled requests through an observed engine
+// allocate nothing. Pooled rank and prefix are left out; simulated
+// ranking allocates per request with or without an observer.
+func TestObservedSteadyStateZeroAlloc(t *testing.T) {
+	l := list.RandomList(4096, 5)
+	vals := make([]int, l.Len())
+	for i := range vals {
+		vals[i] = i % 5
+	}
+	for _, tc := range []struct {
+		name string
+		exec pram.Exec
+		req  Request
+	}{
+		{"pooled/matching", pram.Pooled, Request{List: l}},
+		{"native/matching", pram.Native, Request{List: l}},
+		{"native/rank", pram.Native, Request{Op: OpRank, List: l, Rank: RankContraction}},
+		{"native/prefix", pram.Native, Request{Op: OpPrefix, List: l, Values: vals}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := obs.NewCollector(obs.NewRegistry())
+			rec := obs.NewSpanRecorder(obs.NewTraceSource(3), 1)
+			c.AttachSpans(rec)
+			eng := New(Config{Processors: 8, Exec: tc.exec, Workers: 4, Observer: c})
+			defer eng.Close()
+			tc.req.Trace = rec.Source().NewContext(false)
+			var res Result
+			run := func() {
+				if err := eng.RunInto(bg, tc.req, &res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm free lists, result capacity, stats buffers
+			run()
+			if avg := testing.AllocsPerRun(20, run); avg != 0 {
+				t.Errorf("observed steady-state allocs/request = %v, want 0", avg)
+			}
+		})
 	}
 }

@@ -56,6 +56,7 @@ type PoolConfig struct {
 	// Engine configures every engine in the pool (default processor
 	// count, executor, worker cap, watchdog). Tracer is ignored:
 	// tracers are per-machine and would interleave across shards.
+	// Observer is replaced by the pool's own Observer.
 	Engine Config
 	// Retry enables transparent retry of transient fault-class
 	// failures on a different shard (zero value = disabled); see
@@ -64,16 +65,11 @@ type PoolConfig struct {
 	// Breaker enables the per-engine circuit breaker and quarantine
 	// state machine (zero value = disabled); see BreakerPolicy.
 	Breaker BreakerPolicy
-	// Observer, when non-nil, receives admission-path observations
-	// (queue wait/depth, sheds, cache hits). If it also implements
-	// EngineObserver and Engine.Observer is unset, it is wired into
-	// every engine too, so one obs.Collector attached here instruments
-	// the whole stack: pool admission, engine requests, and (when it
-	// implements pram.Observer) simulator rounds and barriers. A value
-	// that additionally implements ResilienceObserver receives retry,
-	// breaker and deadline observations; one that implements
-	// SpanObserver receives trace spans for sampled requests.
-	Observer PoolObserver
+	// Observer, when non-nil, receives every observation of the pool
+	// and its engines: admission, resilience, sharding and trace spans
+	// here, requests and simulator rounds on each engine, so one
+	// obs.Collector attached here instruments the whole stack.
+	Observer Observer
 }
 
 // RequestMetrics records how one pooled request was served. Valid once
@@ -228,27 +224,17 @@ type EnginePool struct {
 	cacheHits atomic.Int64
 	rejected  atomic.Int64
 
-	// Resilience plumbing (resilience.go). robsv is the Observer's
-	// ResilienceObserver facet, if it has one; canary is the shared
-	// probe input for breaker readmission; stop wakes sleeping retry and
+	// Resilience plumbing (resilience.go). canary is the shared probe
+	// input for breaker readmission; stop wakes sleeping retry and
 	// quarantine goroutines at Close; resWG counts those goroutines so
 	// Close can wait them out before closing the shard queues.
-	robsv  ResilienceObserver
 	canary *list.List
 	stop   chan struct{}
 	resWG  sync.WaitGroup
 
-	// Sharded-execution plumbing (shard.go). shobsv is the Observer's
-	// ShardObserver facet, if it has one; plans caches compiled plans
-	// by fan-out so repeated sharded requests reuse one immutable Plan.
-	shobsv ShardObserver
-	plans  sync.Map
-
-	// spobsv is the Observer's SpanObserver facet, if it has one
-	// (tracing). Every emission site gates on spobsv != nil AND the
-	// request's TraceContext being sampled, so untraced and unsampled
-	// traffic pays nothing.
-	spobsv SpanObserver
+	// plans caches compiled sharded plans (shard.go) by fan-out so
+	// repeated sharded requests reuse one immutable Plan.
+	plans sync.Map
 
 	// mu guards closed against in-flight Submits: Submit holds the read
 	// side while it enqueues, Close takes the write side before closing
@@ -281,11 +267,7 @@ func NewPool(cfg PoolConfig) *EnginePool {
 		cfg.QueueDepth = 32
 	}
 	cfg.Engine.Tracer = nil // per-machine state; meaningless across shards
-	if cfg.Engine.Observer == nil {
-		if eo, ok := cfg.Observer.(EngineObserver); ok {
-			cfg.Engine.Observer = eo
-		}
-	}
+	cfg.Engine.Observer = cfg.Observer
 	if cfg.Retry.Max > 0 {
 		if cfg.Retry.BaseBackoff <= 0 {
 			cfg.Retry.BaseBackoff = 200 * time.Microsecond
@@ -309,9 +291,6 @@ func NewPool(cfg PoolConfig) *EnginePool {
 		}
 	}
 	p := &EnginePool{cfg: cfg, stop: make(chan struct{})}
-	p.robsv, _ = cfg.Observer.(ResilienceObserver)
-	p.shobsv, _ = cfg.Observer.(ShardObserver)
-	p.spobsv, _ = cfg.Observer.(SpanObserver)
 	if cfg.Breaker.Threshold > 0 {
 		p.canary = newCanary(cfg.Breaker.CanaryN)
 	}
@@ -347,7 +326,7 @@ func (p *EnginePool) Engines() int { return len(p.shards) }
 // the Future with ctx.Err() without occupying an engine.
 func (p *EnginePool) Submit(ctx context.Context, req Request) (*Future, error) {
 	f := newFuture(step{Step: wholeStep, req: req, res: new(Result)})
-	if err := p.submit(ctx, f); err != nil {
+	if err := p.shed(p.submit(ctx, f)); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -369,9 +348,8 @@ func (p *EnginePool) Do(ctx context.Context, req Request) (*Result, error) {
 // enqueue f on the shard pick chooses. A solo request may instead be
 // answered from the result cache. Relative deadlines are armed at the
 // first attempt, so admission and queue time spend the same budget as
-// service. A full queue fails with ErrQueueFull; a shed request or batch
-// counts in Rejected, a plan step does not (its coordinator waits in
-// admit instead of shedding).
+// service. A full queue fails with ErrQueueFull, which only the callers
+// that return it count as a shed (see shed).
 func (p *EnginePool) submit(ctx context.Context, f *Future) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -391,7 +369,7 @@ func (p *EnginePool) submit(ctx context.Context, f *Future) error {
 				}
 				f.m = RequestMetrics{Engine: -1, CacheHit: true}
 				f.resolve(res, nil)
-				if tc := s0.req.Trace; p.spobsv != nil && tc.Sampled {
+				if tc := s0.req.Trace; p.cfg.Observer != nil && tc.Sampled {
 					now := time.Now()
 					p.childSpan(tc, "cache", -1, 0, now, 0, "")
 					p.rootSpan(tc, -1, 0, now, 0, "")
@@ -423,13 +401,21 @@ func (p *EnginePool) submit(ctx context.Context, f *Future) error {
 	default:
 	}
 	s.pending.Add(-1)
-	if s0.Kind == plan.KindWhole {
+	return fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
+}
+
+// shed passes err through, counting it in Rejected when it sheds the
+// request with ErrQueueFull. Only Submit and SubmitBatch, which return
+// that error to their caller, count: a failed attempt inside admit is
+// backpressure, not a shed.
+func (p *EnginePool) shed(err error) error {
+	if errors.Is(err, ErrQueueFull) {
 		p.rejected.Add(1)
 		if o := p.cfg.Observer; o != nil {
 			o.ShedObserved()
 		}
 	}
-	return fmt.Errorf("engine pool: engine %d: %w", s.id, ErrQueueFull)
+	return err
 }
 
 // admit is the pool's backpressure loop: it retries submit on a full
@@ -516,7 +502,7 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 	f.m = RequestMetrics{Engine: s.id, QueueWait: wait}
 	s0 := &f.steps[0]
 	tc := f.trace()
-	traced := p.spobsv != nil && tc.Sampled
+	traced := p.cfg.Observer != nil && tc.Sampled
 	if traced {
 		p.childSpan(tc, "queue", s.id, f.attempts, f.enq, wait, "")
 	}
@@ -528,8 +514,8 @@ func (p *EnginePool) serve(s *shard, f *Future) {
 	case !f.deadline.IsZero() && start.After(f.deadline):
 		err = fmt.Errorf("engine pool: engine %d: queued past deadline: %w", s.id, ErrDeadlineExceeded)
 		s.deadlined.Add(1)
-		if p.robsv != nil {
-			p.robsv.DeadlineExceededObserved()
+		if o := p.cfg.Observer; o != nil {
+			o.DeadlineExceededObserved()
 		}
 	default:
 		err = s.eng.run(f.ctx, f.steps)
@@ -588,8 +574,8 @@ func (p *EnginePool) tally(s *shard, f *Future, err error) bool {
 		switch {
 		case errors.Is(serr, ErrDeadlineExceeded):
 			s.deadlined.Add(1)
-			if p.robsv != nil {
-				p.robsv.DeadlineExceededObserved()
+			if o := p.cfg.Observer; o != nil {
+				o.DeadlineExceededObserved()
 			}
 		case pram.Transient(serr):
 			fault = true
@@ -680,7 +666,9 @@ type PoolStats struct {
 	Batches int64
 	// Failures counts served requests that returned an error.
 	Failures int64
-	// Rejected counts Submits shed with ErrQueueFull.
+	// Rejected counts Submits and SubmitBatches shed with ErrQueueFull
+	// returned to the caller; Do and plan steps wait for admission
+	// instead and never count.
 	Rejected int64
 	// Canceled counts requests whose context expired while queued.
 	Canceled int64

@@ -113,11 +113,11 @@ func (b *breaker) now() BreakerState { return BreakerState(b.state.Load()) }
 const canarySeed = 0x5eed
 
 // setBreaker publishes a state transition and mirrors it to the
-// resilience observer.
+// observer.
 func (p *EnginePool) setBreaker(s *shard, st BreakerState) {
 	s.brk.state.Store(int32(st))
-	if p.robsv != nil {
-		p.robsv.BreakerStateObserved(s.id, int(st))
+	if o := p.cfg.Observer; o != nil {
+		o.BreakerStateObserved(s.id, int(st))
 	}
 }
 
@@ -138,8 +138,8 @@ func (p *EnginePool) noteFault(s *shard) {
 	}
 	s.brk.trips.Add(1)
 	s.brk.openedAt.Store(time.Now().UnixNano())
-	if p.robsv != nil {
-		p.robsv.BreakerStateObserved(s.id, int(BreakerOpen))
+	if o := p.cfg.Observer; o != nil {
+		o.BreakerStateObserved(s.id, int(BreakerOpen))
 	}
 	// If the pool is closing there is nothing to recover for: the
 	// breaker stays open and Close releases the engine regardless.
@@ -182,8 +182,8 @@ func (p *EnginePool) quarantine(s *shard) {
 		if pass {
 			s.brk.streak.Store(0)
 			p.setBreaker(s, BreakerClosed)
-			if p.robsv != nil {
-				p.robsv.QuarantineObserved(s.id, time.Since(opened))
+			if o := p.cfg.Observer; o != nil {
+				o.QuarantineObserved(s.id, time.Since(opened))
 			}
 			return
 		}
@@ -281,8 +281,8 @@ func (p *EnginePool) scheduleRetry(from *shard, f *Future, cause error) bool {
 	// single-step future is ever retried.
 	f.steps[0].req.Faults = nil
 	from.retries.Add(1)
-	if p.robsv != nil {
-		p.robsv.RetryObserved(from.id)
+	if o := p.cfg.Observer; o != nil {
+		o.RetryObserved(from.id)
 	}
 	return p.goGuarded(func() { p.retry(from, f, cause) })
 }
@@ -294,7 +294,7 @@ func (p *EnginePool) scheduleRetry(from *shard, f *Future, cause error) bool {
 // so callers see the real failure, not an artefact of Close).
 func (p *EnginePool) retry(from *shard, f *Future, cause error) {
 	tc := f.trace()
-	traced := p.spobsv != nil && tc.Sampled
+	traced := p.cfg.Observer != nil && tc.Sampled
 	t0 := time.Now()
 	// fail resolves f with err on a terminal retry-path exit, emitting
 	// the backoff span (tagged with the attempt it was buying) and — for
@@ -321,8 +321,8 @@ func (p *EnginePool) retry(from *shard, f *Future, cause error) {
 		return
 	}
 	if !f.deadline.IsZero() && time.Now().After(f.deadline) {
-		if p.robsv != nil {
-			p.robsv.DeadlineExceededObserved()
+		if o := p.cfg.Observer; o != nil {
+			o.DeadlineExceededObserved()
 		}
 		from.deadlined.Add(1)
 		fail("deadline", fmt.Errorf("engine pool: deadline passed during retry backoff: %w", ErrDeadlineExceeded))

@@ -17,10 +17,6 @@ import (
 	"parlist/internal/verify"
 )
 
-// The resilience layer promises one obs.Collector can observe the whole
-// stack; break the build, not a silent type assertion, if it drifts.
-var _ ResilienceObserver = (*obs.Collector)(nil)
-
 // panicPlan returns a fault plan that panics one worker mid-run —
 // the canonical transient failure.
 func panicPlan(seed int64) *pram.FaultPlan {
@@ -202,9 +198,10 @@ func TestEngineDeadlineMidService(t *testing.T) {
 	}
 }
 
-// recObserver records resilience observations for assertion. It also
-// satisfies PoolObserver so it can be attached as PoolConfig.Observer.
+// recObserver records resilience observations for assertion. The
+// embedded collector serves every other hook, so it is a full Observer.
 type recObserver struct {
+	*obs.Collector
 	mu          sync.Mutex
 	states      map[int][]int // engine → state sequence
 	retries     int
@@ -212,12 +209,8 @@ type recObserver struct {
 	quarantines int
 }
 
-func (r *recObserver) EnqueueObserved(int)                 {}
-func (r *recObserver) DequeueObserved(time.Duration, int)  {}
-func (r *recObserver) ShedObserved()                       {}
-func (r *recObserver) CacheHitObserved()                   {}
-func (r *recObserver) RetryObserved(int)                   { r.mu.Lock(); r.retries++; r.mu.Unlock() }
-func (r *recObserver) DeadlineExceededObserved()           { r.mu.Lock(); r.deadlines++; r.mu.Unlock() }
+func (r *recObserver) RetryObserved(int)         { r.mu.Lock(); r.retries++; r.mu.Unlock() }
+func (r *recObserver) DeadlineExceededObserved() { r.mu.Lock(); r.deadlines++; r.mu.Unlock() }
 func (r *recObserver) QuarantineObserved(int, time.Duration) {
 	r.mu.Lock()
 	r.quarantines++
@@ -237,7 +230,7 @@ func (r *recObserver) BreakerStateObserved(engine, state int) {
 // the router sends traffic elsewhere while it is quarantined, canary
 // probes readmit it in the background, and it then serves again.
 func TestPoolBreakerLifecycle(t *testing.T) {
-	rec := &recObserver{}
+	rec := &recObserver{Collector: obs.NewCollector(obs.NewRegistry())}
 	pool := NewPool(PoolConfig{Engines: 2, QueueDepth: 8,
 		Engine:   pooledCfg(),
 		Breaker:  BreakerPolicy{Threshold: 2, Cooldown: 20 * time.Millisecond},

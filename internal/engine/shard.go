@@ -135,7 +135,8 @@ func (p *EnginePool) ShardedDo(ctx context.Context, req Request, shards int) (*R
 	k := max(1, min(shards, n))
 
 	t0 := time.Now()
-	traced := p.spobsv != nil && req.Trace.Sampled
+	o := p.cfg.Observer
+	traced := o != nil && req.Trace.Sampled
 	// Every step carries the sharded request with the plan's deadline
 	// armed; the fault plan rides only on the step it targets.
 	sreq := req
@@ -225,10 +226,10 @@ stages:
 			break stages
 		}
 		agg.Time += stageTime
-		if p.shobsv != nil {
+		if o != nil {
 			for _, id := range stage {
 				s0 := &futs[id].steps[0]
-				p.shobsv.ShardStepObserved(s0.label(), s0.Shard, futs[id].m.Service, stageWall-futs[id].m.Service)
+				o.ShardStepObserved(s0.label(), s0.Shard, futs[id].m.Service, stageWall-futs[id].m.Service)
 			}
 		}
 	}
@@ -249,8 +250,8 @@ stages:
 	if sum > 0 {
 		sh.Imbalance = float64(max) * float64(k) / float64(sum)
 	}
-	if p.shobsv != nil {
-		p.shobsv.ShardedRequestObserved(k, sh.Segments, sh.ExchangeBytes, int64(sh.Imbalance*1000))
+	if o != nil {
+		o.ShardedRequestObserved(k, sh.Segments, sh.ExchangeBytes, int64(sh.Imbalance*1000))
 	}
 
 	if traced {

@@ -14,14 +14,14 @@ import (
 const MaxTrackedWorkers = 64
 
 // Collector receives the wall-clock observations the producing layers
-// emit and lands them in a Registry. It structurally satisfies
-// pram.Observer (round wall time, per-worker barrier waits, phase
-// spans), engine.EngineObserver (per-op request latency, arena churn),
-// engine.PoolObserver (queue wait/depth, shed, cache hits) and
-// engine.SpanObserver (distributed-tracing spans, forwarded to an
-// attached SpanRecorder) — one Collector can be attached at all layers
-// at once, and every method is safe for concurrent use (the hot paths
-// are lock-free atomics).
+// emit and lands them in a Registry. It implements engine.Observer,
+// the serving stack's one sink, which embeds pram.Observer: simulator
+// rounds, barrier waits and phase spans; engine request latency and
+// arena churn; pool queue wait/depth, sheds and cache hits; resilience,
+// sharding, and distributed-tracing spans (forwarded to an attached
+// SpanRecorder). engine checks that at compile time; obs imports
+// neither package. Every method is safe for concurrent use (the hot
+// paths are lock-free atomics).
 //
 // Metric names (all durations in nanoseconds):
 //
@@ -37,7 +37,7 @@ const MaxTrackedWorkers = 64
 //	parlist_arena_bytes_total        counter    fresh arena allocation
 //	parlist_queue_wait_ns            histogram  admission → service start
 //	parlist_queue_depth              gauge      depth of the event's shard
-//	parlist_queue_shed_total         counter    ErrQueueFull rejections
+//	parlist_queue_shed_total         counter    ErrQueueFull returned to a caller
 //	parlist_cache_hits_total         counter    result-cache hits
 //	parlist_retries_total{engine}    counter    transient-failure retries
 //	parlist_deadline_exceeded_total  counter    requests past their budget
@@ -75,15 +75,15 @@ type Collector struct {
 	shed       *Counter
 	cacheHits  *Counter
 
-	// Resilience layer (engine.ResilienceObserver). Per-engine series
-	// are lazily created like the per-worker barrier counters.
+	// Resilience layer. Per-engine series are lazily created like the
+	// per-worker barrier counters.
 	deadlineExceeded *Counter
 	quarantineNs     *Histogram
 	engRetries       [MaxTrackedWorkers]atomic.Pointer[Counter]
 	engBreaker       [MaxTrackedWorkers]atomic.Pointer[breakerSeries]
 
-	// Sharded-execution layer (engine.ShardObserver). Step-wall series
-	// are labelled by plan-step kind, lazily like phaseNs.
+	// Sharded-execution layer. Step-wall series are labelled by
+	// plan-step kind, lazily like phaseNs.
 	shardedReqs     *Counter
 	shardSegments   *Counter
 	exchangeBytes   *Counter
@@ -105,7 +105,7 @@ func NewCollector(reg *Registry) *Collector {
 		arenaBytes:  reg.Counter("parlist_arena_bytes_total", "fresh bytes allocated by workspace arenas"),
 		queueWait:   reg.Histogram("parlist_queue_wait_ns", "admission-to-service wait in the pool queue"),
 		queueDepth:  reg.Gauge("parlist_queue_depth", "instantaneous depth of the event's shard queue"),
-		shed:        reg.Counter("parlist_queue_shed_total", "requests shed with a full admission queue"),
+		shed:        reg.Counter("parlist_queue_shed_total", "requests shed to their caller with a full admission queue"),
 		cacheHits:   reg.Counter("parlist_cache_hits_total", "requests served from the result cache"),
 		deadlineExceeded: reg.Counter("parlist_deadline_exceeded_total",
 			"requests failed past their deadline budget (queued, mid-service, or in retry backoff)"),
@@ -137,22 +137,10 @@ func (c *Collector) AttachSpans(r *SpanRecorder) { c.spans = r }
 // Spans returns the attached span recorder (nil when detached).
 func (c *Collector) Spans() *SpanRecorder { return c.spans }
 
-// SpanObserved implements the producers' span hook (engine.SpanObserver):
-// one completed span of a sampled trace. spanID 0 asks the recorder to
-// mint an id; parentID 0 marks the trace's root span and triggers its
-// tail-sampling keep/drop decision. With no recorder attached the call
-// is a no-op.
-func (c *Collector) SpanObserved(traceHi, traceLo, spanID, parentID uint64,
-	name string, shard, attempt int, start time.Time, d time.Duration, status string) {
-	r := c.spans
-	if r == nil {
-		return
-	}
-	r.Record(Span{
-		TraceHi: traceHi, TraceLo: traceLo, SpanID: spanID, ParentID: parentID,
-		Name: name, Shard: shard, Attempt: attempt, Start: start, Dur: d, Status: status,
-	})
-}
+// SpanObserved implements the pool's span hook: one completed span of
+// a sampled trace, recorded as SpanRecorder.Record describes (a no-op
+// with no recorder attached).
+func (c *Collector) SpanObserved(s Span) { c.spans.Record(s) }
 
 // RoundObserved implements the simulator's round hook: one synchronous
 // primitive took wall time for items items.

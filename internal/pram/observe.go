@@ -5,9 +5,9 @@ import "time"
 // Observer receives wall-clock observations from a Machine — the side
 // channel that makes the simulator's real-time behaviour (dispatch
 // overhead, barrier-wait imbalance, phase durations) measurable without
-// touching the simulated accounting. The interface deliberately uses
-// only basic types so implementations (internal/obs.Collector) need not
-// import pram.
+// touching the simulated accounting. It is declared over basic types
+// because pram must not import internal/obs; engine.Observer embeds it,
+// and internal/obs.Collector implements both.
 //
 // Contract: observation must never change observable machine behaviour.
 // With no observer attached every hook site is a nil-check no-op; with
