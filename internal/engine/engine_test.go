@@ -29,7 +29,6 @@ func TestEngineMatchesDirectRuns(t *testing.T) {
 		exec pram.Exec
 	}{
 		{"sequential", pram.Sequential},
-		{"goroutines", pram.Goroutines},
 		{"pooled", pram.Pooled},
 	}
 	algos := []Algorithm{AlgoMatch1, AlgoMatch2, AlgoMatch3, AlgoMatch4, AlgoSequential, AlgoRandomized}

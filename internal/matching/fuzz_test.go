@@ -11,7 +11,7 @@ import (
 
 // Go fuzz targets: `go test` runs the seed corpus as regression
 // tests; `go test -fuzz=FuzzMatch4` explores further. Every fuzzed
-// input runs under all four executors; outputs must satisfy both the
+// input runs under all three executors; outputs must satisfy both the
 // neighbour-walking checker (Verify) and the independent
 // incidence-counting checker (verify.MaximalMatching), and must be
 // bit-identical across executors. (Direct algorithm calls on a Native
@@ -19,7 +19,7 @@ import (
 // accounting bit-identical too; the native team kernels are fuzzed
 // separately in internal/engine's FuzzNativeEquivalence.)
 
-var fuzzExecs = []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled, pram.Native}
+var fuzzExecs = []pram.Exec{pram.Sequential, pram.Pooled, pram.Native}
 
 // checkMatching applies both checkers to a candidate matching.
 func checkMatching(t *testing.T, l *list.List, in []bool, ctx string) {

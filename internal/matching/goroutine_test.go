@@ -1,7 +1,8 @@
 // Executor equivalence: every algorithm must produce bit-identical
 // results AND bit-identical accounting (Time, Work, per-phase stats)
-// under the sequential executor, the spawn-per-round goroutine executor,
-// and the persistent pooled executor with fused-round dispatch. The
+// under the sequential executor, the persistent pooled executor with
+// fused-round dispatch, and the native executor's simulated-fallback
+// dispatch. The
 // package is external (matching_test) so the suite can also cover list
 // ranking, which imports matching.
 package matching_test
@@ -18,7 +19,7 @@ import (
 	"parlist/internal/verify"
 )
 
-var equivExecs = []pram.Exec{pram.Sequential, pram.Goroutines, pram.Pooled}
+var equivExecs = []pram.Exec{pram.Sequential, pram.Pooled, pram.Native}
 
 // TestExecutorEquivalenceMatching runs Match1–Match4 (all routes) under
 // all three executors on the same randomized input, asserting identical

@@ -15,8 +15,10 @@ type Match4Config struct {
 	// I is the adjustable parameter i: step 1 produces an
 	// O(log^(i) n)-set partition. Must be ≥ 1; 3 is a good default.
 	I int
-	// UseTable selects Lemma 5's O(n·log i/p + log i) partition for
-	// step 1; otherwise Lemma 3's O(i·n/p) iterated partition is used.
+	// UseTable selects Lemma 5's table partition for step 1; otherwise
+	// Lemma 3's O(i·n/p) iterated partition is used. The paper costs the
+	// table route O(n·log i/p + log i), but here it adds about as many
+	// steps per unit of i as the iterated route: see Match4.
 	UseTable bool
 	// MaxTableSize and CRCWBuild configure the table route.
 	MaxTableSize int
@@ -53,9 +55,14 @@ type Match4Config struct {
 //	Step 5. cut at local colour minima and walk the constant-length
 //	        sublists (Match1 steps 3–4).
 //
-// Total time O(n·log i/p + log^(i) n + log i) with the table route
-// (Theorem 2), and O(n/p + log^(i) n) for constant i — optimal using up
-// to p = O(n / log^(i) n) processors (Theorem 1).
+// The paper's total is O(n·log i/p + log^(i) n + log i) with the table
+// route (Theorem 2), and O(n/p + log^(i) n) for constant i — optimal
+// using up to p = O(n / log^(i) n) processors (Theorem 1). This code
+// reproduces Theorem 1 but not Theorem 2's log i coefficient. At
+// table.DefaultMaxSize, table.Plan keeps the tuple size g ≤ 4, and the
+// plan is the same at n = 2^18, 2^20 and 2^26. Both step-1 routes then
+// add about 2 steps per node for each unit of i (EXPERIMENTS.md E7;
+// the open item is in ROADMAP.md).
 func Match4(m *pram.Machine, l *list.List, e *partition.Evaluator, cfg Match4Config) (*Result, error) {
 	n := l.Len()
 	if cfg.I < 1 {
@@ -184,7 +191,7 @@ func match4Finish(m *pram.Machine, l *list.List, lab []int, K, rounds, tableSize
 	rowOf := ws.IntsNoZero(wk, n)
 	colKeys := make([][]int, y)
 	// Flat per-column scratch, sliced by column index: columns touch
-	// disjoint ranges, so the goroutine executor stays race-free, and the
+	// disjoint ranges, so the pooled executor stays race-free, and the
 	// round performs O(1) allocations instead of O(y) per-column ones
 	// (the in-body counting sort still allocates its counters).
 	keyBuf := ws.IntsNoZero(wk, y*x)

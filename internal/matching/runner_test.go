@@ -18,7 +18,7 @@ func TestRunnerMatchesMatch4(t *testing.T) {
 		exec pram.Exec
 	}{
 		{"sequential", pram.Sequential},
-		{"goroutines", pram.Goroutines},
+		{"native", pram.Native},
 		{"pooled", pram.Pooled},
 	}
 	for _, ex := range execs {

@@ -1,6 +1,7 @@
 package pram
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -62,8 +63,9 @@ func TestParForBrentLaw(t *testing.T) {
 }
 
 func TestParForVisitsEachIndexOnce(t *testing.T) {
-	for _, exec := range []Exec{Sequential, Goroutines} {
+	for _, exec := range []Exec{Sequential, Pooled} {
 		m := New(8, WithExec(exec), WithWorkers(4))
+		defer m.Close()
 		n := 1000
 		var counts [1000]int32
 		m.ParFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
@@ -194,7 +196,7 @@ func TestExecutorsAgreeOnStepCounts(t *testing.T) {
 		return m.Time(), m.Work(), a[:40]
 	}
 	t1, w1, a1 := run(Sequential)
-	for _, exec := range []Exec{Goroutines, Pooled} {
+	for _, exec := range []Exec{Pooled, Native} {
 		t2, w2, a2 := run(exec)
 		if t1 != t2 || w1 != w2 {
 			t.Errorf("%v: executors disagree: time %d vs %d, work %d vs %d", exec, t1, t2, w1, w2)
@@ -214,13 +216,30 @@ func TestModelString(t *testing.T) {
 	if Model(42).String() == "" {
 		t.Error("unknown model should still format")
 	}
-	if Sequential.String() != "sequential" || Goroutines.String() != "goroutines" {
+	if Sequential.String() != "sequential" || Pooled.String() != "pooled" || Native.String() != "native" {
 		t.Error("executor names wrong")
 	}
 }
 
+// TestParseExecRoundTrip: ParseExec inverts Exec.String over every
+// executor and rejects anything else with ErrUnknownExec.
+func TestParseExecRoundTrip(t *testing.T) {
+	for _, e := range []Exec{Sequential, Pooled, Native} {
+		got, err := ParseExec(e.String())
+		if err != nil || got != e {
+			t.Errorf("ParseExec(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	for _, name := range []string{"goroutines", "", "Pooled", "exec(3)"} {
+		if _, err := ParseExec(name); !errors.Is(err, ErrUnknownExec) {
+			t.Errorf("ParseExec(%q): err = %v, want ErrUnknownExec", name, err)
+		}
+	}
+}
+
 func TestWithWorkersClamps(t *testing.T) {
-	m := New(4, WithExec(Goroutines), WithWorkers(-5))
+	m := New(4, WithExec(Pooled), WithWorkers(-5))
+	defer m.Close()
 	if m.workers < 1 {
 		t.Errorf("workers = %d", m.workers)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestCheckedArrayDegradesUnderParallelExecutors(t *testing.T) {
-	for _, exec := range []Exec{Goroutines, Pooled} {
+	for _, exec := range []Exec{Pooled, Native} {
 		m := New(4, WithExec(exec), WithWorkers(4))
 		a := NewCheckedArray(m, EREW, "a", 8)
 		if a.Checked() {

@@ -98,7 +98,7 @@ func TestBatchAccountingIdentical(t *testing.T) {
 		return m.Snapshot()
 	}
 	ref := run(Sequential, false)
-	for _, exec := range []Exec{Sequential, Goroutines, Pooled} {
+	for _, exec := range []Exec{Sequential, Pooled, Native} {
 		for _, fused := range []bool{false, true} {
 			got := run(exec, fused)
 			if !reflect.DeepEqual(got, ref) {
